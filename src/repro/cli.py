@@ -1233,10 +1233,10 @@ def bench_main(argv: List[str]) -> int:
     """The ``bench`` subcommand: replay-engine throughput A/B.
 
     Replays one deterministic synthetic trace through the scalar
-    reference loop, the batched engine, the compiled kernels and the
-    sharded worker pool (see :mod:`repro.experiments.replay_bench`),
-    prints records/sec for each (best of ``--repeats``), and optionally
-    writes the JSON report CI archives as ``BENCH_replay.json``.  The
+    reference loop, the batched engine and the sharded worker pool (see
+    :mod:`repro.experiments.replay_bench`), prints records/sec for each
+    (best of ``--repeats``), and optionally writes the JSON report CI
+    archives as ``BENCH_replay.json``.  The
     digests are the point: a non-zero exit means the engines' statistics
     diverged, which is a correctness failure, not a slow run.
     """
@@ -1252,7 +1252,7 @@ def bench_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli bench",
         description=(
-            "replay throughput: scalar vs batched vs compiled vs sharded"
+            "replay throughput: scalar vs batched vs sharded"
         ),
     )
     parser.add_argument(
@@ -1285,10 +1285,6 @@ def bench_main(argv: List[str]) -> int:
             f"digest {entry['statistics_digest'][:16]}…"
         )
     print(f"batched speedup over scalar: {report['batched_speedup']:.2f}x")
-    print(
-        f"compiled speedup over scalar: {report['compiled_speedup']:.2f}x"
-        f" ({'numba' if report['numba'] else 'pure-python fallback'})"
-    )
     if ns.out:
         Path(ns.out).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -21,9 +21,9 @@ replaces them with a single auditable decision:
   so "why was this engine rejected?" is a stored artifact, not a
   debugging session.
 
-Future backends (compiled, GPU — ROADMAP item 2) plug in by registering
-an :class:`~repro.engines.registry.EngineSpec`; they inherit the prover,
-the CLI (``verify engines``) and the selection logic unchanged.
+A new backend plugs in by registering an
+:class:`~repro.engines.registry.EngineSpec`; it inherits the prover, the
+CLI (``verify engines``) and the selection logic unchanged.
 """
 
 from repro.engines.capabilities import (

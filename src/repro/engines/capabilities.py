@@ -9,12 +9,6 @@ replays, and every denial carries the concrete reason.
 The capability semantics (each is the precondition of a proof obligation
 discharged in the engine's module docstring and test suite):
 
-``EXACT_FLOAT_CLOCK``
-    The engine advances ``now_cycle`` by IEEE-754 additions in exactly
-    the serial order (the batched engine's ``cumsum`` matches serial
-    accumulation bit for bit).  Granted for every configuration today;
-    declared so future compiled/GPU backends that reassociate the clock
-    sum are forced to say so.
 ``INERT_BACKGROUND_TICK``
     The per-tenure firmware tick is a no-op, so an engine that does not
     interleave ticks between tenures loses nothing.  Denied while any
@@ -32,21 +26,6 @@ discharged in the engine's module docstring and test suite):
     The shard index field fits inside **every** node's set-index field,
     so no cache set is split across workers.  Only provable against a
     concrete :class:`ShardSpec`.
-``DETERMINISTIC_REPLACEMENT``
-    Every victim choice is a pure function of the set's own dense
-    replacement metadata (LRU order, FIFO order, PLRU tree bits), so a
-    compiled kernel can re-derive it from flat arrays.  Denied by the
-    ``random`` policy — victims come from one board-wide RNG stream whose
-    draw order only the object-graph paths reproduce — and by custom
-    policy classes with no compiled lowering.
-``DENSE_PROTOCOL_STATE``
-    The whole protocol state of every node lowers to dense integer
-    arrays: plain (unprotected) tag/state directories, constant
-    transaction-buffer service times, and precomputed coherence-group
-    routing.  Denied by ECC-protected directories (states carry packed
-    check bits and demand-verification), by the SDRAM timing model
-    (address-dependent service pricing), and by firmware images without
-    the stock group routing.
 """
 
 from __future__ import annotations
@@ -60,13 +39,10 @@ class Capability(enum.Enum):
     """Configuration properties engines can require (values are the
     stable names used in CLI output, findings and docs)."""
 
-    EXACT_FLOAT_CLOCK = "exact_float_clock"
     INERT_BACKGROUND_TICK = "inert_background_tick"
     PER_SET_INDEPENDENCE = "per_set_independence"
     NO_GLOBAL_ORDER_COUPLING = "no_global_order_coupling"
     SHARD_DECOMPOSABLE_SETS = "shard_decomposable_sets"
-    DETERMINISTIC_REPLACEMENT = "deterministic_replacement"
-    DENSE_PROTOCOL_STATE = "dense_protocol_state"
 
     def __str__(self) -> str:  # readable in f-strings and reports
         return self.value
@@ -140,11 +116,6 @@ def prove_capabilities(
     def deny(capability: Capability, reason: str) -> None:
         denials.setdefault(capability, []).append(reason)
 
-    # EXACT_FLOAT_CLOCK — every current engine reproduces the serial
-    # IEEE-754 accumulation order (cumsum == repeated addition, proven in
-    # tests/test_batched_replay); the capability exists so a future
-    # backend that reassociates the sum must declare the loss.
-
     # INERT_BACKGROUND_TICK — the tick hook must be absent, or present
     # and provably idle.
     if board._firmware_tick is not None:
@@ -171,55 +142,6 @@ def prove_capabilities(
         )
         deny(Capability.PER_SET_INDEPENDENCE, reason)
         deny(Capability.SHARD_DECOMPOSABLE_SETS, reason)
-        deny(
-            Capability.DENSE_PROTOCOL_STATE,
-            "firmware exposes no cache nodes to lower into flat arrays",
-        )
-
-    # DETERMINISTIC_REPLACEMENT — every victim choice must be a pure
-    # function of the set's own dense metadata so a compiled kernel can
-    # re-derive it without the policy object graph.
-    from repro.memories.replacement import FifoPolicy, LruPolicy, PlruPolicy
-
-    for node in nodes:
-        policy = getattr(node.directory, "policy", None)
-        if node.config.replacement == "random":
-            deny(
-                Capability.DETERMINISTIC_REPLACEMENT,
-                "compiled kernels cannot reproduce 'random' replacement: "
-                "victim draws come from one board-wide RNG stream whose "
-                "order only the object-graph replay preserves",
-            )
-        elif type(policy) not in (LruPolicy, FifoPolicy, PlruPolicy):
-            deny(
-                Capability.DETERMINISTIC_REPLACEMENT,
-                f"node{node.index} replacement policy "
-                f"{type(policy).__name__} has no compiled lowering",
-            )
-
-    # DENSE_PROTOCOL_STATE — directories, buffers and routing must all
-    # lower to dense integer arrays.
-    if nodes and getattr(board.firmware, "_groups", None) is None:
-        deny(
-            Capability.DENSE_PROTOCOL_STATE,
-            "firmware image does not expose precomputed coherence-group "
-            "routing (_groups); its dispatch cannot be lowered",
-        )
-    for node in nodes:
-        if node.ecc:
-            deny(
-                Capability.DENSE_PROTOCOL_STATE,
-                f"node{node.index} directory is ECC-protected: stored "
-                "states carry packed check bits and probes demand-verify "
-                "lines, which flat tag/state arrays cannot express",
-            )
-        if node.sdram is not None:
-            deny(
-                Capability.DENSE_PROTOCOL_STATE,
-                f"node{node.index} prices directory operations through "
-                "the SDRAM timing model: service times are "
-                "address-dependent, not the constant the kernel inlines",
-            )
 
     # PER_SET_INDEPENDENCE — no feature may couple decisions across sets.
     for node in nodes:

@@ -11,8 +11,7 @@ Engine scopes:
 
 ``board``
     In-process engines replaying packed words on one board (scalar,
-    batched, compiled).  :func:`select_board_engine` is the single
-    selection point
+    batched).  :func:`select_board_engine` is the single selection point
     — :meth:`MemoriesBoard._replay_words
     <repro.memories.board.MemoriesBoard._replay_words>` and the
     supervisor's shard workers route through it, so no replay path
@@ -224,12 +223,6 @@ def _replay_batched(board, words) -> int:
     return batch.replay_words_batched(board, words)
 
 
-def _replay_compiled(board, words) -> int:
-    from repro.memories import compiled
-
-    return compiled.replay_words_compiled(board, words)
-
-
 register_engine(
     EngineSpec(
         name="scalar",
@@ -245,36 +238,10 @@ register_engine(
     EngineSpec(
         name="batched",
         description="vectorised chunk replay (repro.memories.batch)",
-        requires=frozenset(
-            {
-                Capability.EXACT_FLOAT_CLOCK,
-                Capability.INERT_BACKGROUND_TICK,
-            }
-        ),
+        requires=frozenset({Capability.INERT_BACKGROUND_TICK}),
         rank=10,
         scope="board",
         replay=_replay_batched,
-    )
-)
-
-register_engine(
-    EngineSpec(
-        name="compiled",
-        description=(
-            "block protocol kernels over flat state arrays "
-            "(repro.memories.compiled; numba-accelerated when present)"
-        ),
-        requires=frozenset(
-            {
-                Capability.EXACT_FLOAT_CLOCK,
-                Capability.INERT_BACKGROUND_TICK,
-                Capability.DETERMINISTIC_REPLACEMENT,
-                Capability.DENSE_PROTOCOL_STATE,
-            }
-        ),
-        rank=15,
-        scope="board",
-        replay=_replay_compiled,
     )
 )
 
@@ -287,7 +254,6 @@ register_engine(
         ),
         requires=frozenset(
             {
-                Capability.EXACT_FLOAT_CLOCK,
                 Capability.PER_SET_INDEPENDENCE,
                 Capability.NO_GLOBAL_ORDER_COUPLING,
                 Capability.SHARD_DECOMPOSABLE_SETS,

@@ -1,4 +1,4 @@
-"""Replay throughput benchmark: scalar vs batched vs compiled vs sharded.
+"""Replay throughput benchmark: scalar vs batched vs sharded.
 
 The real board's selling point is keeping up with a 100 MHz bus in real
 time; the software model's equivalent currency is **records per second**
@@ -116,17 +116,14 @@ def run_replay_benchmark(
     trace: Optional[BusTrace] = None,
     repeats: int = 1,
 ) -> dict:
-    """Measure scalar, batched, compiled and sharded replay of one trace.
+    """Measure scalar, batched and sharded replay of one trace.
 
     Returns a JSON-ready report: per-engine ``records_per_second`` and
     ``seconds`` (best of ``repeats``), every raw sample in
     ``seconds_all``, the ``statistics_digest`` of each run, ``identical``
-    (all digests equal), ``batched_speedup`` / ``compiled_speedup`` over
-    scalar, and whether ``numba`` backed the compiled engine — the
+    (all digests equal) and ``batched_speedup`` over scalar — the
     numbers ``BENCH_replay.json`` records.
     """
-    from repro.memories.compiled import HAVE_NUMBA
-
     if machine is None:
         machine = bench_machine()
     if trace is None:
@@ -135,7 +132,7 @@ def run_replay_benchmark(
 
     seconds_all: dict = {}
     digests: dict = {}
-    for engine in ("scalar", "batched", "compiled"):
+    for engine in ("scalar", "batched"):
         seconds_all[engine], digests[engine] = _timed_board_engine(
             machine, trace, seed, engine, repeats
         )
@@ -158,7 +155,6 @@ def run_replay_benchmark(
         "machine": machine.name,
         "shards": shards,
         "repeats": max(repeats, 1),
-        "numba": HAVE_NUMBA,
         "engines": {
             name: {
                 "seconds": seconds,
@@ -171,8 +167,5 @@ def run_replay_benchmark(
         "identical": len(set(digests.values())) == 1,
         "batched_speedup": (
             best["scalar"] / best["batched"] if best["batched"] else 0.0
-        ),
-        "compiled_speedup": (
-            best["scalar"] / best["compiled"] if best["compiled"] else 0.0
         ),
     }

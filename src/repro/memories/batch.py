@@ -18,7 +18,10 @@ datapath": :func:`replay_words_batched` replays a packed trace chunk with
 * a Python loop that runs protocol transitions **only for admitted
   tenures** — fused (directory, buffers and counters inlined) for the
   stock cache-emulation firmware, or generic (``firmware.process`` per
-  admitted tenure) for any other image.
+  admitted tenure) for any other image.  The fused loop accumulates
+  counters under integer ids (:data:`COUNTER_NAMES`), finds the local
+  node by indexing a cpu-id list, and installs misses with incremental
+  way-map updates instead of a per-miss rebuild.
 
 Bit-identity with :meth:`MemoriesBoard._replay_words_scalar` is the
 contract, enforced by the property suite in ``tests/test_batched_replay``:
@@ -40,8 +43,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.bus.trace import decode_arrays
+from repro.bus.trace import _CPU_MASK, decode_arrays
 from repro.bus.transaction import BusCommand, SnoopResponse
+from repro.memories.board import _MAX_PROCESSOR_ID
 from repro.memories.protocol_table import CacheOp, LineState
 from repro.memories.replacement import (
     FifoPolicy,
@@ -71,26 +75,57 @@ _N_OPS = max(int(op) for op in CacheOp) + 1
 _COMMANDS = [BusCommand(i) for i in range(max(int(c) for c in BusCommand) + 1)]
 _RESPONSES = [SnoopResponse(i) for i in range(max(int(r) for r in SnoopResponse) + 1)]
 
-#: Per local command (raw int 0..3): primary counter, secondary counter,
-#: CacheOp, hit counter, miss counter, fetches-data flag — the constants
-#: NodeController.process_local derives per tenure.
-_LOCAL_CMD = [
-    ("local.read", None, int(CacheOp.LOCAL_READ), "hit.read", "miss.read", True),
-    ("local.write", None, _LOCAL_WRITE, "hit.write", "miss.write", True),
-    ("local.write", "local.upgrade", _LOCAL_WRITE, "hit.write", "miss.write", False),
-    ("local.castout", None, _LOCAL_CASTOUT, "hit.castout", "miss.castout", False),
-]
+#: Counter ids: every counter name the fused runner can emit, in a fixed
+#: order.  A node accumulates into ``acc[id]`` and flushes the non-zero
+#: slots by name at chunk end, so the hot loop never hashes a string.
+COUNTER_NAMES: List[str] = []
 
-_HIT_STATE_KEY = [f"hit_state.{LineState(i).name}" for i in range(_N_STATES)]
-_FILL_KEY = [f"fill.{LineState(i).name}" for i in range(_N_STATES)]
+
+def _cid(name: str) -> int:
+    if name not in COUNTER_NAMES:
+        COUNTER_NAMES.append(name)
+    return COUNTER_NAMES.index(name)
+
+
+#: Per local command (raw int 0..3): primary counter, secondary counter
+#: (-1 = none), CacheOp, hit counter, miss counter, fetches-data flag —
+#: the constants NodeController.process_local derives per tenure.
+_CMD_TAB = (
+    (_cid("local.read"), -1, int(CacheOp.LOCAL_READ),
+     _cid("hit.read"), _cid("miss.read"), True),
+    (_cid("local.write"), -1, _LOCAL_WRITE,
+     _cid("hit.write"), _cid("miss.write"), True),
+    (_cid("local.write"), _cid("local.upgrade"), _LOCAL_WRITE,
+     _cid("hit.write"), _cid("miss.write"), False),
+    (_cid("local.castout"), -1, _LOCAL_CASTOUT,
+     _cid("hit.castout"), _cid("miss.castout"), False),
+)
+_HIT_STATE_CID = tuple(
+    _cid(f"hit_state.{LineState(i).name}") for i in range(_N_STATES)
+)
+_FILL_CID = tuple(_cid(f"fill.{LineState(i).name}") for i in range(_N_STATES))
+_CID_INCLUSION = _cid("inclusion.castout_miss")
+_CID_INTERVENTION = _cid("intervention.from_peer")
+_CID_EVICT_DIRTY = _cid("evict.dirty")
+_CID_EVICT_CLEAN = _cid("evict.clean")
+#: Figure 12 satisfaction counters by snoop-response int, for hits and
+#: misses (RETRY tenures never reach the runner: the filter drops them).
+_SAT_HIT_CID = tuple(
+    _cid(name) for name in ("satisfied.l3", "satisfied.shr_int", "satisfied.mod_int")
+)
+_SAT_MISS_CID = tuple(
+    _cid(name)
+    for name in ("satisfied.memory", "satisfied.shr_int", "satisfied.mod_int")
+)
+_CID_REMOTE_READ = _cid("remote.read")
+_CID_REMOTE_WRITE = _cid("remote.write")
+_CID_SUPPLIED_DIRTY = _cid("remote.supplied_dirty")
+_CID_INVALIDATED = _cid("remote.invalidated")
+
 _DIRTY_OF = [LineState(i).is_dirty for i in range(_N_STATES)]
 
-#: Figure 12 satisfaction counters by snoop-response int, for hits/misses.
-_SAT_HIT = ["satisfied.l3", "satisfied.shr_int", "satisfied.mod_int", None]
-_SAT_MISS = ["satisfied.memory", "satisfied.shr_int", "satisfied.mod_int", None]
-
-#: Bus IDs above this are I/O bridges (board.py's _MAX_PROCESSOR_ID).
-_MAX_PROCESSOR_ID = 15
+#: Routing lists have one slot per cpu id the packed trace can carry.
+_CPU_SLOTS = _CPU_MASK + 1
 
 
 class _FusedNode:
@@ -98,19 +133,20 @@ class _FusedNode:
 
     Holds direct references to the controller's mutable structures (the
     finish-time deque, the directory's tag/state/way-map lists) plus local
-    copies of scalar buffer statistics and a counter accumulator.  The
-    scalars are loaded at chunk start and stored back at chunk end — safe
-    because within a fused chunk *only* this engine touches them, and the
-    board only reads them between chunks (telemetry boundaries).
+    copies of scalar buffer statistics and an integer-indexed counter
+    accumulator.  The scalars are loaded at chunk start and stored back at
+    chunk end — safe because within a fused chunk *only* this engine
+    touches them, and the board only reads them between chunks (telemetry
+    boundaries).
     """
 
     __slots__ = (
         "buffer", "ft", "capacity", "service", "last_finish",
         "accepted", "rejected", "high_water",
-        "tags", "states", "ways", "meta",
+        "tags", "states", "ways", "meta", "assoc",
         "off_bits", "set_mask", "tag_shift",
         "trans", "fill_write", "fill_read_shared", "fill_read_alone",
-        "install", "is_lru", "touch_meta",
+        "is_lru", "touch_meta", "victim_way", "random_install",
         "acc", "counters", "peers",
     )
 
@@ -125,6 +161,7 @@ class _FusedNode:
         self.states = directory._states
         self.ways = directory._ways
         self.meta = directory._meta
+        self.assoc = directory.config.assoc
         amap = directory.amap
         self.off_bits = amap.offset_bits
         self.set_mask = amap.num_sets - 1
@@ -144,13 +181,17 @@ class _FusedNode:
         self.fill_write = int(fill.write)
         self.fill_read_shared = int(fill.read_shared)
         self.fill_read_alone = int(fill.read_alone)
-        self.install = directory.install
         policy = directory.policy
         self.is_lru = type(policy) is LruPolicy
-        self.touch_meta = (
-            policy._update_on_access if type(policy) is PlruPolicy else None
+        is_plru = type(policy) is PlruPolicy
+        self.touch_meta = policy._update_on_access if is_plru else None
+        self.victim_way = policy.victim_way if is_plru else None
+        # Random replacement keeps the directory's own install so its RNG
+        # draws happen exactly as on the scalar path.
+        self.random_install = (
+            directory.install if type(policy) is RandomPolicy else None
         )
-        self.acc: dict = {}
+        self.acc = [0] * len(COUNTER_NAMES)
         self.counters = node.counters
         self.peers: tuple = ()
 
@@ -173,18 +214,20 @@ class _FusedNode:
         stats.rejected = self.rejected
         stats.high_water = self.high_water
         counters = self.counters
-        for name, value in self.acc.items():
-            counters.increment(name, value)
-        self.acc.clear()
+        acc = self.acc
+        for cid, value in enumerate(acc):
+            if value:
+                counters.increment(COUNTER_NAMES[cid], value)
+                acc[cid] = 0
 
 
 def _remote(fused: _FusedNode, op: int, address: int, now: float):
     """Inlined NodeController.process_remote on a fused node view."""
     acc = fused.acc
     if op == _REMOTE_READ:
-        acc["remote.read"] = acc.get("remote.read", 0) + 1
+        acc[_CID_REMOTE_READ] += 1
     else:
-        acc["remote.write"] = acc.get("remote.write", 0) + 1
+        acc[_CID_REMOTE_WRITE] += 1
     ft = fused.ft
     while ft and ft[0] <= now:
         ft.popleft()
@@ -210,10 +253,10 @@ def _remote(fused: _FusedNode, op: int, address: int, now: float):
     next_state, invalidates, is_hit = fused.trans[op][state]
     supplied_dirty = is_hit and _DIRTY_OF[state]
     if supplied_dirty:
-        acc["remote.supplied_dirty"] = acc.get("remote.supplied_dirty", 0) + 1
+        acc[_CID_SUPPLIED_DIRTY] += 1
     if invalidates:
         _invalidate(fused, set_index, way)
-        acc["remote.invalidated"] = acc.get("remote.invalidated", 0) + 1
+        acc[_CID_INVALIDATED] += 1
     else:
         states_in_set[way] = next_state
     return True, supplied_dirty
@@ -231,6 +274,53 @@ def _invalidate(fused: _FusedNode, set_index: int, way: int) -> None:
         ways[tags_in_set[position]] = position
 
 
+def _install(fused: _FusedNode, set_index: int, tag: int, fill: int) -> int:
+    """Inlined TagStateDirectory.install; returns the victim's state, or
+    -1 when nothing was evicted.
+
+    LRU/FIFO and PLRU victim choice is transcribed from
+    :mod:`repro.memories.replacement`; the way map is updated in place
+    instead of rebuilt, with the same first-occurrence-wins rule as
+    ``_rebuild_way_map`` should a corrupted set hold duplicate tags.
+    """
+    if fused.random_install is not None:
+        evicted = fused.random_install(set_index, tag, fill)
+        return -1 if evicted is None else evicted[1]
+    tags_in_set = fused.tags[set_index]
+    states_in_set = fused.states[set_index]
+    ways = fused.ways[set_index]
+    if fused.victim_way is not None:  # PLRU: stable way positions
+        meta = fused.meta
+        way = len(tags_in_set)
+        victim_state = -1
+        if way < fused.assoc:
+            tags_in_set.append(tag)
+            states_in_set.append(fill)
+        else:
+            way = fused.victim_way(meta[set_index])
+            victim_tag = tags_in_set[way]
+            victim_state = states_in_set[way]
+            tags_in_set[way] = tag
+            states_in_set[way] = fill
+            if ways.get(victim_tag) == way:
+                del ways[victim_tag]
+                if victim_tag in tags_in_set:
+                    ways[victim_tag] = tags_in_set.index(victim_tag)
+        ways[tag] = way
+        meta[set_index] = fused.touch_meta(way, meta[set_index])
+        return victim_state
+    # LRU / FIFO: insert at the front, evict from the back.
+    victim_state = -1
+    if len(tags_in_set) >= fused.assoc:
+        del ways[tags_in_set.pop()]
+        victim_state = states_in_set.pop()
+    tags_in_set.insert(0, tag)
+    states_in_set.insert(0, fill)
+    for position in range(len(tags_in_set) - 1, -1, -1):
+        ways[tags_in_set[position]] = position
+    return victim_state
+
+
 def _fused_runner(firmware):
     """Build a fused admitted-tenure runner, or None when ineligible.
 
@@ -238,9 +328,9 @@ def _fused_runner(firmware):
     transaction buffer (no SDRAM timing model), an unprotected directory
     (no ECC), and a known replacement policy.  The runner replays admitted
     tenures in order with the full NodeController/TagStateDirectory hot
-    path inlined; cold paths (install on a miss, PLRU metadata) stay as
-    method calls so policy behaviour — including the random policy's RNG
-    draw order — is untouched.
+    path inlined: counters accumulate under integer ids, the local node
+    is found by indexing a per-group list with the cpu id, and misses
+    install through :func:`_install`.
     """
     groups = getattr(firmware, "_groups", None)
     if groups is None:
@@ -262,37 +352,37 @@ def _fused_runner(firmware):
             fused_of[id(node)].peers = tuple(
                 fused_of[id(peer)] for peer in peers_of[node.index]
             )
+        local_of: List[Optional[_FusedNode]] = [None] * _CPU_SLOTS
+        for cpu, node in local_by_cpu.items():
+            if cpu < _CPU_SLOTS:  # larger ids never appear in a trace
+                local_of[cpu] = fused_of[id(node)]
         fused_groups.append(
-            (
-                {cpu: fused_of[id(node)] for cpu, node in local_by_cpu.items()},
-                tuple(fused_of[id(node)] for node in controllers),
-            )
+            (local_of, tuple(fused_of[id(node)] for node in controllers))
         )
 
-    local_cmd = _LOCAL_CMD
-    hit_state_key = _HIT_STATE_KEY
-    fill_key = _FILL_KEY
+    cmd_tab = _CMD_TAB
+    hit_state_cid = _HIT_STATE_CID
+    fill_cid = _FILL_CID
     dirty_of = _DIRTY_OF
-    sat_hit = _SAT_HIT
-    sat_miss = _SAT_MISS
+    sat_hit_cid = _SAT_HIT_CID
+    sat_miss_cid = _SAT_MISS_CID
+    remote = _remote
+    invalidate = _invalidate
+    install = _install
 
     def run(cpus, cmds, addrs, resps, nows) -> int:
-        cpu_list = cpus.tolist()
-        cmd_list = cmds.tolist()
-        addr_list = addrs.tolist()
-        resp_list = resps.tolist()
-        now_list = nows.tolist()
         for fused in all_fused:
             fused.load()
         retries = 0
         for cpu, cmd, addr, resp, now in zip(
-            cpu_list, cmd_list, addr_list, resp_list, now_list
+            cpus.tolist(), cmds.tolist(), addrs.tolist(),
+            resps.tolist(), nows.tolist(),
         ):
             # Admission pre-check across every group before any state
             # changes (a refused tenure must be side-effect free).
             rejected = False
             for local_of, _controllers in fused_groups:
-                local = local_of.get(cpu)
+                local = local_of[cpu]
                 if local is not None:
                     ft = local.ft
                     while ft and ft[0] <= now:
@@ -305,7 +395,7 @@ def _fused_runner(firmware):
                 continue
 
             for local_of, controllers in fused_groups:
-                local = local_of.get(cpu)
+                local = local_of[cpu]
                 if local is None:
                     # Unmapped master (see CacheEmulationFirmware.process).
                     if cmd == _READ:
@@ -315,44 +405,45 @@ def _fused_runner(firmware):
                     else:
                         op = _REMOTE_WRITE
                     for fused in controllers:
-                        _remote(fused, op, addr, now)
+                        remote(fused, op, addr, now)
                     continue
 
                 # Inlined NodeController.process_local.  The buffer offer
                 # cannot fail here: the pre-check drained this queue at the
                 # same `now` and found room, and nothing has been enqueued
                 # since.
+                ft = local.ft
                 last = local.last_finish
                 start = now if now > last else last
                 finish = start + local.service
-                local.ft.append(finish)
+                ft.append(finish)
                 local.last_finish = finish
                 local.accepted += 1
-                depth = len(local.ft)
+                depth = len(ft)
                 if depth > local.high_water:
                     local.high_water = depth
 
                 acc = local.acc
-                base_key, extra_key, op, hit_key, miss_key, fetches = (
-                    local_cmd[cmd]
+                base_cid, extra_cid, op, hit_cid, miss_cid, fetches = (
+                    cmd_tab[cmd]
                 )
-                acc[base_key] = acc.get(base_key, 0) + 1
-                if extra_key is not None:
-                    acc[extra_key] = acc.get(extra_key, 0) + 1
+                acc[base_cid] += 1
+                if extra_cid >= 0:
+                    acc[extra_cid] += 1
 
                 set_index = (addr >> local.off_bits) & local.set_mask
                 tag = addr >> local.tag_shift
-                way = local.ways[set_index].get(tag, -1)
+                ways = local.ways[set_index]
+                way = ways.get(tag, -1)
 
                 if way >= 0:
                     states_in_set = local.states[set_index]
                     state = states_in_set[way]
                     next_state, invalidates, _is_hit = local.trans[op][state]
-                    acc[hit_key] = acc.get(hit_key, 0) + 1
-                    state_key = hit_state_key[state]
-                    acc[state_key] = acc.get(state_key, 0) + 1
+                    acc[hit_cid] += 1
+                    acc[hit_state_cid[state]] += 1
                     if invalidates:
-                        _invalidate(local, set_index, way)
+                        invalidate(local, set_index, way)
                     else:
                         states_in_set[way] = next_state
                         if local.is_lru:
@@ -360,7 +451,6 @@ def _fused_runner(firmware):
                                 tags_in_set = local.tags[set_index]
                                 tags_in_set.insert(0, tags_in_set.pop(way))
                                 states_in_set.insert(0, states_in_set.pop(way))
-                                ways = local.ways[set_index]
                                 for position in range(way + 1):
                                     ways[tags_in_set[position]] = position
                         elif local.touch_meta is not None:
@@ -372,49 +462,42 @@ def _fused_runner(firmware):
                         state == _SHARED or state == _OWNED
                     ):
                         for peer in local.peers:
-                            _remote(peer, _REMOTE_WRITE, addr, now)
+                            remote(peer, _REMOTE_WRITE, addr, now)
                     if fetches:
-                        sat_key = sat_hit[resp]
-                        acc[sat_key] = acc.get(sat_key, 0) + 1
+                        acc[sat_hit_cid[resp]] += 1
                     continue
 
                 # Miss path.
-                acc[miss_key] = acc.get(miss_key, 0) + 1
+                acc[miss_cid] += 1
                 if op == _LOCAL_CASTOUT:
-                    acc["inclusion.castout_miss"] = (
-                        acc.get("inclusion.castout_miss", 0) + 1
-                    )
+                    acc[_CID_INCLUSION] += 1
                     fill = local.fill_write
                 elif op == _LOCAL_WRITE:
                     for peer in local.peers:
-                        _remote(peer, _REMOTE_WRITE, addr, now)
+                        remote(peer, _REMOTE_WRITE, addr, now)
                     fill = local.fill_write
                 else:  # LOCAL_READ
                     shared_elsewhere = False
                     for peer in local.peers:
-                        held, dirty = _remote(peer, _REMOTE_READ, addr, now)
+                        held, dirty = remote(peer, _REMOTE_READ, addr, now)
                         if held:
                             shared_elsewhere = True
                         if dirty:
-                            acc["intervention.from_peer"] = (
-                                acc.get("intervention.from_peer", 0) + 1
-                            )
+                            acc[_CID_INTERVENTION] += 1
                     fill = (
                         local.fill_read_shared
                         if shared_elsewhere
                         else local.fill_read_alone
                     )
-                evicted = local.install(set_index, tag, fill)
-                key = fill_key[fill]
-                acc[key] = acc.get(key, 0) + 1
-                if evicted is not None:
-                    if dirty_of[evicted[1]]:
-                        acc["evict.dirty"] = acc.get("evict.dirty", 0) + 1
+                victim_state = install(local, set_index, tag, fill)
+                acc[fill_cid[fill]] += 1
+                if victim_state >= 0:
+                    if dirty_of[victim_state]:
+                        acc[_CID_EVICT_DIRTY] += 1
                     else:
-                        acc["evict.clean"] = acc.get("evict.clean", 0) + 1
+                        acc[_CID_EVICT_CLEAN] += 1
                 if fetches:
-                    sat_key = sat_miss[resp]
-                    acc[sat_key] = acc.get(sat_key, 0) + 1
+                    acc[sat_miss_cid[resp]] += 1
         for fused in all_fused:
             fused.store()
         return retries
@@ -457,29 +540,12 @@ def replay_words_batched(board, words: np.ndarray) -> int:
     board here after the capability prover establishes that, so this
     function carries no refusal logic of its own.
     """
-    if int(words.shape[0]) == 0:
+    count = int(words.shape[0])
+    if count == 0:
         return 0
     runner = _fused_runner(board.firmware)
     if runner is None:
         runner = _generic_runner(board.firmware)
-    return replay_with_runner(board, words, runner)
-
-
-def replay_with_runner(board, words: np.ndarray, runner, flush=None) -> int:
-    """Drive ``runner`` over ``words`` in telemetry-aligned chunks.
-
-    The shared chunking loop behind the batched and compiled engines:
-    vectorised admit-mask pre-pass, bulk filter/global/clock updates per
-    chunk, chunk boundaries aligned with the sampler countdown.  ``runner``
-    receives the admitted tenures of one chunk as numpy arrays
-    ``(cpus, cmds, addrs, resps, nows)`` and returns the retry count;
-    ``flush``, when given, is called before every ``on_countdown`` so an
-    engine that accumulates state outside the board objects (the compiled
-    kernel's flat arrays) can make ``board.statistics()`` current first.
-    """
-    count = int(words.shape[0])
-    if count == 0:
-        return 0
 
     cpu_ids, commands, addresses, responses = decode_arrays(words)
     is_io = (commands == _IO_READ) | (commands == _IO_WRITE)
@@ -523,8 +589,6 @@ def replay_with_runner(board, words: np.ndarray, runner, flush=None) -> int:
         if telemetry is not None:
             telemetry._countdown -= take
             if telemetry._countdown <= 0:
-                if flush is not None:
-                    flush()
                 telemetry.on_countdown(board)
         start = stop
     return count

@@ -1,9 +1,8 @@
-"""Bit-identity of the batched and compiled replay engines against scalar.
+"""Bit-identity of the batched replay engine against scalar.
 
-The fast engines (:mod:`repro.memories.batch`,
-:mod:`repro.memories.compiled`) are only allowed to be fast — never
-different.  These tests replay identical traces through each path and
-require the full board checkpoint (directories, buffers, counters,
+The fast engine (:mod:`repro.memories.batch`) is only allowed to be
+fast — never different.  These tests replay identical traces through
+each path and require the full board checkpoint (directories, buffers, counters,
 clock, sampler cursor) to come out equal, across firmware shapes,
 replacement policies, telemetry cadences and degraded starting states;
 a property-based sweep drives randomized mixes through the same
@@ -19,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bus.trace import BusTrace, encode_arrays
+from repro.bus.transaction import BusCommand
 from repro.engines import ENGINES
 from repro.memories.batch import replay_words_batched
 from repro.memories.board import MemoriesBoard, board_for_machine
@@ -34,17 +34,12 @@ from repro.telemetry import CounterSampler, MemorySink
 
 N_CPUS = 8
 
-
-@pytest.fixture
-def force_flat_kernel():
-    """Run the compiled engine's flat kernel interpreted (no numba)."""
-    import repro.memories.compiled as compiled
-
-    compiled._FORCE_FLAT_KERNEL = True
-    try:
-        yield
-    finally:
-        compiled._FORCE_FLAT_KERNEL = False
+#: Every board-scope engine besides the scalar oracle; the parity tests
+#: parametrised on it run once per fast engine.
+FAST_ENGINES = [
+    name for name, spec in ENGINES.items()
+    if spec.scope == "board" and spec.rank > 0
+]
 
 
 def full_mix_words(
@@ -73,6 +68,19 @@ def full_mix_words(
         rng.integers(0, address_space // 64, n).astype(np.uint64)
     ) * np.uint64(64)
     return encode_arrays(cpu_ids, commands, addresses, responses)
+
+
+#: Address distance between consecutive tags of one set in the 128 KB,
+#: 4-way, 128 B-line node of ``machine_for`` (256 sets).
+SET_STRIDE = 256 * 128
+
+
+def one_set_words(script) -> np.ndarray:
+    """Pack ``(cpu, command, tag)`` steps that all address set 0."""
+    cpus, commands, tags = (
+        np.array(column, dtype=np.uint64) for column in zip(*script)
+    )
+    return encode_arrays(cpus, commands, tags * np.uint64(SET_STRIDE))
 
 
 def machine_for(kind: str, replacement: str = "lru"):
@@ -148,6 +156,64 @@ class TestBatchedBitIdentity:
         )
         assert_paths_identical(lambda: board_for_machine(machine), filtered)
 
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru", "random"])
+    def test_full_sets_evict_and_refill_after_peer_invalidation(
+        self, replacement
+    ):
+        """Pin the fused runner's in-place way-map upkeep on install.
+
+        Node 0 (cpus 0-1) fills one set to its four ways, write-hits a
+        middle way, and evicts twice.  Node 1 (cpu 2) then claims the
+        newest line, so node 0 loses it to a peer invalidation.  The next
+        install lands in a partly filled set, more installs evict again,
+        and the write hits dirty exactly the lines the way map names.
+        """
+        read, rwitm = int(BusCommand.READ), int(BusCommand.RWITM)
+        script = [(0, read, tag) for tag in (0, 1, 2, 3)]
+        script += [(0, rwitm, 1), (0, read, 4), (0, read, 5), (2, rwitm, 5)]
+        script += [(0, read, 6), (0, rwitm, 6), (0, read, 7), (0, read, 0)]
+        script += [(0, rwitm, tag) for tag in (1, 6, 7, 0)]
+        machine = machine_for("split", replacement)
+        scalar, _ = assert_paths_identical(
+            lambda: board_for_machine(machine, seed=3), one_set_words(script),
+            engine="batched",
+        )
+        stats = scalar.statistics()
+        assert stats["node0.remote.invalidated"] == 1
+        assert stats["node0.evict.clean"] >= 4
+        assert scalar.firmware.nodes[0].directory.ways_in_set(0) == 4
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
+    def test_install_after_bit_flip_aliases_two_tags(self, replacement):
+        """A flipped tag can duplicate another resident tag; installs must
+        keep the first-occurrence-wins way map the directory rebuilds.
+
+        Ways 0 and 1 of node 0's set end up holding one tag (3 under
+        LRU/FIFO, a clean and a dirty copy; 0 under PLRU).  The next
+        install evicts around the pair, and the write hits then show
+        which copy the map names.
+        """
+        read, rwitm = int(BusCommand.READ), int(BusCommand.RWITM)
+        machine = machine_for("split", replacement)
+
+        def make_board():
+            board = board_for_machine(machine, seed=3)
+            board.batched_replay = False
+            board.replay_words(one_set_words(
+                [(0, read, 0), (0, read, 1), (0, rwitm, 2), (0, read, 3)]
+            ))
+            directory = board.firmware.nodes[0].directory
+            directory.inject_bit_flip(0, 1, 0)
+            tags = directory._tags[0]
+            assert tags[0] == tags[1]
+            board.batched_replay = True
+            return board
+
+        script = [(0, read, 4), (0, rwitm, 3), (0, rwitm, 0), (0, read, 5)]
+        assert_paths_identical(
+            make_board, one_set_words(script), engine="batched"
+        )
+
     def test_resumes_from_degraded_state(self):
         """The engine must be exact from any starting state, not just reset."""
         words = full_mix_words(2500, seed=13)
@@ -165,95 +231,8 @@ class TestBatchedBitIdentity:
         assert_paths_identical(make_board, words)
 
 
-class TestCompiledBitIdentity:
-    """The compiled engine (python fallback and flat kernel) vs scalar."""
-
-    @pytest.mark.parametrize("kind", ["single", "split", "multi"])
-    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
-    def test_every_machine_and_policy(self, kind, replacement):
-        words = full_mix_words(4000, seed=7)
-        machine = machine_for(kind, replacement)
-        assert_paths_identical(
-            lambda: board_for_machine(machine, seed=3), words,
-            engine="compiled",
-        )
-
-    @pytest.mark.parametrize("kind", ["single", "split", "multi"])
-    @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
-    def test_flat_kernel_every_machine_and_policy(
-        self, kind, replacement, force_flat_kernel
-    ):
-        # Interpreted run of the numba-compatible kernel: proves the flat
-        # lowering itself (arrays, ring buffers, transcribed policies),
-        # not just the object-path fallback.
-        words = full_mix_words(1200, seed=7)
-        machine = machine_for(kind, replacement)
-        assert_paths_identical(
-            lambda: board_for_machine(machine, seed=3), words,
-            engine="compiled",
-        )
-
-    def test_flat_kernel_chunked_with_telemetry(self, force_flat_kernel):
-        # Telemetry boundaries force mid-call counter/buffer-stat flushes
-        # out of the flat arrays; sampler records must match scalar.
-        words = full_mix_words(900, seed=41)
-        machine = machine_for("split")
-        sinks = []
-
-        def make_board():
-            sink = MemorySink()
-            sinks.append(sink)
-            board = board_for_machine(machine, seed=2)
-            board.attach_telemetry(
-                CounterSampler(sink, every_transactions=37)
-            )
-            return board
-
-        assert_paths_identical(make_board, words, chunks=4, engine="compiled")
-        scalar_sink, compiled_sink = sinks
-        assert scalar_sink.records == compiled_sink.records
-        assert len(compiled_sink.records) > 0
-
-    def test_degraded_state_round_trips_flat_arrays(self, force_flat_kernel):
-        # Partially-filled sets, an offline node and pre-seeded buffers
-        # must survive the load -> kernel -> store round trip.
-        words = full_mix_words(1000, seed=13)
-        machine = machine_for("split")
-
-        def make_board():
-            board = board_for_machine(machine, seed=9)
-            board.batched_replay = False
-            board.replay_words(full_mix_words(800, seed=21))
-            board.firmware.offline_node(1)
-            board.batched_replay = True
-            return board
-
-        assert_paths_identical(make_board, words, engine="compiled")
-
-    def test_random_policy_falls_back_identically(self):
-        # Direct calls with an ineligible board must route to the batched
-        # engine rather than corrupt state (the registry would never
-        # select compiled here — DETERMINISTIC_REPLACEMENT is denied).
-        words = full_mix_words(1500, seed=43)
-        machine = machine_for("split", "random")
-        assert_paths_identical(
-            lambda: board_for_machine(machine, seed=3), words,
-            engine="compiled",
-        )
-
-    def test_default_routing_selects_compiled(self):
-        from repro.engines import select_board_engine
-
-        board = board_for_machine(machine_for("split"))
-        assert select_board_engine(board).name == "compiled"
-        words = full_mix_words(2000, seed=47)
-        assert_paths_identical(
-            lambda: board_for_machine(machine_for("split"), seed=3), words
-        )
-
-
 class TestTelemetryChunking:
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("cadence", [1, 7, 64, 1024])
     def test_transaction_cadence_identical(self, cadence, engine):
         words = full_mix_words(2000, seed=17)
@@ -366,7 +345,7 @@ class TestZeroCountdownRegression:
     """A sampler countdown at (or below) zero on entry must not produce
     an empty chunk (this used to crash ``_run_chunk`` on ``steps[0]``)."""
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("countdown", [0, -3])
     def test_zero_countdown_entry_matches_scalar(self, engine, countdown):
         words = full_mix_words(300, seed=53)
@@ -420,7 +399,7 @@ class TestRejectedParity:
             node.buffer.stats = stats
         return board
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("kind", ["split", "multi"])
     def test_saturated_buffers_identical(self, engine, kind):
         words = full_mix_words(2000, seed=59)
@@ -447,7 +426,7 @@ class TestRejectedParity:
         seed=st.integers(0, 2**16),
         capacity=st.integers(1, 3),
         service=st.sampled_from([100.0, 3e3, 5e4]),
-        engine=st.sampled_from(["batched", "compiled"]),
+        engine=st.sampled_from(FAST_ENGINES),
     )
     def test_rejected_accounting_property(
         self, seed, capacity, service, engine
@@ -464,23 +443,12 @@ class TestRejectedParity:
 
         assert_paths_identical(make_board, words, engine=engine)
 
-    def test_saturated_flat_kernel(self, force_flat_kernel):
-        words = full_mix_words(800, seed=61)
-        machine = machine_for("multi")
-
-        def make_board():
-            return self.saturate(
-                board_for_machine(machine, seed=2), capacity=1, service=5e4
-            )
-
-        assert_paths_identical(make_board, words, engine="compiled")
-
 
 class TestEdgeChunks:
     """Chunk-shape edges: all-filtered chunks, chunk size 1, boundaries
     landing exactly on the countdown, wrap-adjacent 40-bit counters."""
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_all_filtered_chunks_with_telemetry(self, engine):
         # Every record is filtered (IO/interrupt/sync): chunks contain
         # zero admitted tenures but must still advance clock, filter
@@ -503,7 +471,7 @@ class TestEdgeChunks:
 
         assert_paths_identical(make_board, words, engine=engine)
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_single_record_chunks(self, engine):
         # Cadence 1 makes every chunk exactly one record long.
         words = full_mix_words(120, seed=67)
@@ -518,7 +486,7 @@ class TestEdgeChunks:
 
         assert_paths_identical(make_board, words, engine=engine)
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_boundary_exactly_on_countdown(self, engine):
         # Trace length an exact multiple of the cadence: the final chunk
         # ends on the countdown and on_countdown fires at the last record.
@@ -541,7 +509,7 @@ class TestEdgeChunks:
         assert scalar_sink.records == fast_sink.records
         assert len(fast_sink.records) == 5
 
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_wrap_adjacent_global_counters(self, engine):
         # Seed the global bank just below the 40-bit mask so
         # record_batch wraps mid-replay; masked readouts and the
@@ -570,7 +538,7 @@ class TestBatchedProperty:
         kind=st.sampled_from(["single", "split", "multi"]),
         replacement=st.sampled_from(["lru", "fifo", "random", "plru"]),
         cadence=st.sampled_from([None, 1, 13, 256]),
-        engine=st.sampled_from([None, "batched", "compiled"]),
+        engine=st.sampled_from([None, *FAST_ENGINES]),
     )
     def test_randomized_mix_identical(
         self, seed, n, kind, replacement, cadence, engine

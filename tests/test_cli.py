@@ -160,8 +160,6 @@ class TestBenchSubcommand:
 
         report = json.loads(out.read_text())
         assert report["identical"] is True
-        assert set(report["engines"]) == {
-            "scalar", "batched", "compiled", "sharded"
-        }
+        assert set(report["engines"]) == {"scalar", "batched", "sharded"}
         for entry in report["engines"].values():
             assert entry["records_per_second"] > 0

@@ -96,45 +96,13 @@ class TestCapabilityProver:
         assert any("power of two" in msg for msg in proof.structural)
 
     def test_capability_names_are_stable_strings(self):
-        assert str(Capability.EXACT_FLOAT_CLOCK) == "exact_float_clock"
+        assert str(Capability.INERT_BACKGROUND_TICK) == "inert_background_tick"
         assert {str(c) for c in Capability} == {
-            "exact_float_clock",
             "inert_background_tick",
             "per_set_independence",
             "no_global_order_coupling",
             "shard_decomposable_sets",
-            "deterministic_replacement",
-            "dense_protocol_state",
         }
-
-    def test_random_replacement_denies_deterministic_replacement(self):
-        board = board_for_machine(machine_for("split", "random"))
-        proof = prove_capabilities(board)
-        reasons = proof.reasons(Capability.DETERMINISTIC_REPLACEMENT)
-        assert any("random" in reason for reason in reasons)
-
-    def test_unknown_policy_denies_deterministic_replacement(self):
-        board = default_board()
-
-        class WeirdPolicy:
-            pass
-
-        board.firmware.nodes[0].directory.policy = WeirdPolicy()
-        proof = prove_capabilities(board)
-        reasons = proof.reasons(Capability.DETERMINISTIC_REPLACEMENT)
-        assert any("WeirdPolicy" in reason for reason in reasons)
-
-    def test_ecc_denies_dense_protocol_state(self):
-        proof = prove_capabilities(default_board(ecc=True))
-        reasons = proof.reasons(Capability.DENSE_PROTOCOL_STATE)
-        assert any("ECC" in reason for reason in reasons)
-
-    def test_sdram_denies_dense_protocol_state(self):
-        board = default_board()
-        board.firmware.nodes[0].sdram = SdramModel()
-        proof = prove_capabilities(board)
-        reasons = proof.reasons(Capability.DENSE_PROTOCOL_STATE)
-        assert any("SDRAM" in reason for reason in reasons)
 
 
 # ---------------------------------------------------------------------- #
@@ -161,9 +129,9 @@ class TestShardSpec:
 
 class TestRegistry:
     def test_builtin_engines_registered_in_rank_order(self):
-        assert list(ENGINES) == ["scalar", "batched", "compiled", "sharded"]
+        assert list(ENGINES) == ["scalar", "batched", "sharded"]
         assert ENGINES["scalar"].rank < ENGINES["batched"].rank
-        assert ENGINES["batched"].rank < ENGINES["compiled"].rank
+        assert ENGINES["batched"].rank < ENGINES["sharded"].rank
         assert ENGINES["scalar"].requires == frozenset()
 
     def test_duplicate_registration_rejected(self):
@@ -220,21 +188,6 @@ class TestDecisions:
         assert any(f.rule == "EN302" for f in decision.report.errors)
         assert "power of two" in decision.reason()
 
-    def test_compiled_rejection_names_dense_state(self):
-        board = default_board()
-        board.firmware.nodes[0].sdram = SdramModel()
-        decision = decide("compiled", board=board)
-        assert not decision.eligible
-        assert Capability.DENSE_PROTOCOL_STATE in decision.missing
-        assert any("SDRAM" in f.message for f in decision.report.errors)
-
-    def test_compiled_rejection_names_replacement(self):
-        decision = decide(
-            "compiled", machine=machine_for("split", "random")
-        )
-        assert not decision.eligible
-        assert Capability.DETERMINISTIC_REPLACEMENT in decision.missing
-
     def test_decide_all_covers_every_engine(self):
         decisions = decide_all(board=default_board(), shards=2)
         assert [d.spec.name for d in decisions] == list(ENGINES)
@@ -252,8 +205,8 @@ class TestDecisions:
 # ---------------------------------------------------------------------- #
 
 class TestSelectBoardEngine:
-    def test_prefers_compiled_when_eligible(self):
-        assert select_board_engine(default_board()).name == "compiled"
+    def test_prefers_batched_when_eligible(self):
+        assert select_board_engine(default_board()).name == "batched"
 
     def test_random_replacement_demotes_to_batched(self):
         board = board_for_machine(machine_for("split", "random"))

@@ -14,10 +14,9 @@ ERROR findings.  Two corpora are exercised:
   its rule, and each clean (or suppressed) snippet must stay quiet, so
   the rules neither miss nor cry wolf.
 * ``ENGINE_CORPUS`` — board configurations against the engine
-  registry's capability prover: each feature that breaks an engine's
-  bit-identity argument (random replacement, SDRAM pricing, ECC
-  directories) must deny exactly the expected capability, and the stock
-  configuration must stay eligible.
+  registry's capability prover: a feature that breaks an engine's
+  bit-identity argument (an ECC patrol scrubber) must deny exactly the
+  expected capability, and the stock configuration must stay eligible.
 
 Exit status is non-zero on any miss.
 """
@@ -298,15 +297,9 @@ CLEAN_CORPUS: List[Tuple[str, ...]] = [
 #: (description, board feature, engine, capability expected missing —
 #: None means the engine must be eligible).
 ENGINE_CORPUS: List[Tuple[str, str, str, object]] = [
-    ("stock split board runs the compiled kernels",
-     "stock", "compiled", None),
-    ("random replacement has no compiled lowering",
-     "random", "compiled", "deterministic_replacement"),
-    ("SDRAM-priced buffers cannot be flattened",
-     "sdram", "compiled", "dense_protocol_state"),
-    ("ECC-protected directories cannot be flattened",
-     "ecc", "compiled", "dense_protocol_state"),
-    ("ECC patrol scrubber still blocks batching",
+    ("stock split board runs the batched engine",
+     "stock", "batched", None),
+    ("ECC patrol scrubber blocks batching",
      "ecc", "batched", "inert_background_tick"),
 ]
 
@@ -316,19 +309,11 @@ def _engine_board(feature: str):
     from repro.memories.config import CacheNodeConfig
     from repro.target.configs import split_smp_machine
 
-    config = CacheNodeConfig(
-        size=128 * 1024, assoc=4, line_size=128,
-        replacement="random" if feature == "random" else "lru",
-    )
+    config = CacheNodeConfig(size=128 * 1024, assoc=4, line_size=128)
     machine = split_smp_machine(config, n_cpus=8, procs_per_node=2)
     if feature == "ecc":
         return board_for_machine(machine, ecc=True, scrub_interval=500.0)
-    board = board_for_machine(machine)
-    if feature == "sdram":
-        from repro.memories.sdram import SdramModel
-
-        board.firmware.nodes[0].sdram = SdramModel()
-    return board
+    return board_for_machine(machine)
 
 
 def _check_engine_corpus() -> int:
