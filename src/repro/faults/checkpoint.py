@@ -2,18 +2,28 @@
 
 Long campaigns (the paper's multi-day monitoring runs) need to survive
 console restarts.  :func:`save_checkpoint` serialises a board's complete
-mutable state — directories (with ECC check bits), counter banks,
-transaction buffers, SDRAM timing state, scrubber position, replacement
-RNG and the board clock — as JSON; :func:`restore_checkpoint` loads it
-into an identically-programmed board, after which continued emulation
-produces statistics identical to an uninterrupted run.
+mutable state — directories (with ECC check bits and scrub bookkeeping),
+counter banks, transaction buffers, SDRAM timing state, scrubber
+position, replacement RNG and the board clock — as JSON;
+:func:`restore_checkpoint` loads it into an identically-programmed board,
+after which continued emulation produces statistics identical to an
+uninterrupted run.
+
+Cost follows residency, not cache size: since version 3 each directory
+is stored sparsely (only the sets holding lines or non-default
+replacement metadata; see
+:meth:`~repro.memories.cache_model.TagStateDirectory.state_dict`), and
+the payload is encoded with one ``json.dumps`` and written with one
+``write``.  Version 1 and 2 files, whose directories list every set,
+still load.  A board whose firmware has no ``state_dict`` is refused
+before anything is written, rather than saved without its state.
 
 Crash safety (the contract :mod:`repro.supervisor` builds on):
 
 * **Atomic**: the file is written to a same-directory temp name, fsynced,
   and ``os.replace``'d into place — a crash mid-write leaves either the
   previous checkpoint or none, never a half-written one.
-* **Self-validating**: version-2 files embed a CRC32 over the canonical
+* **Self-validating**: version-2+ files embed a CRC32 over the canonical
   encoding of their body; :func:`load_checkpoint` recomputes it, so a
   truncated or bit-rotted file raises
   :class:`~repro.common.errors.TraceFormatError` instead of half-restoring
@@ -41,8 +51,9 @@ from repro.memories.board import MemoriesBoard
 #: Format tag of checkpoint files.
 CHECKPOINT_FORMAT = "memories-checkpoint"
 #: Current checkpoint file revision (2 adds the CRC32 body digest, the
-#: machine fingerprint and the optional ``extra`` sidecar; v1 still loads).
-CHECKPOINT_VERSION = 2
+#: machine fingerprint and the optional ``extra`` sidecar; 3 stores
+#: directories sparsely; v1 and v2 still load).
+CHECKPOINT_VERSION = 3
 
 
 def _canonical(body: dict) -> bytes:
@@ -66,8 +77,18 @@ def save_checkpoint(
         extra: optional JSON-serialisable sidecar state committed in the
             same atomic write (e.g. a fault injector's RNG cursor, so a
             supervised fault campaign resumes bit-identically).
+
+    Raises:
+        ConfigurationError: when the board's firmware has no
+            ``state_dict`` — its state would silently be left out, and a
+            restore would "succeed" on an empty board.  Nothing is written.
     """
     path = Path(path)
+    if getattr(board.firmware, "state_dict", None) is None:
+        raise ConfigurationError(
+            f"{type(board.firmware).__name__} has no state_dict(); its "
+            f"state cannot be checkpointed"
+        )
     body: dict = {"state": board.checkpoint()}
     if extra is not None:
         body["extra"] = extra
@@ -80,10 +101,12 @@ def save_checkpoint(
         "crc": zlib.crc32(_canonical(body)) & 0xFFFFFFFF,
         **body,
     }
+    # One encode, one write: json.dump would stream thousands of chunks.
+    text = json.dumps(payload)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
         with open(tmp, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -118,7 +141,7 @@ def load_checkpoint_payload(path: Union[str, Path]) -> dict:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise TraceFormatError(f"{path}: not a MemorIES checkpoint file")
     version = payload.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in (1, 2, CHECKPOINT_VERSION):
         raise TraceFormatError(
             f"{path}: unsupported checkpoint version {version!r}"
         )

@@ -228,24 +228,85 @@ class TagStateDirectory:
     # ------------------------------------------------------------------ #
 
     def state_dict(self) -> dict:
-        """Full mutable contents (tags, states, replacement metadata).
+        """Sparse mutable contents: only the sets that differ from power-up.
 
-        For an ECC-protected subclass the stored state integers already
-        carry the packed check bits, so this captures them for free.
+        A set is listed when it holds lines, or when its replacement
+        metadata differs from ``policy.make_meta()`` (PLRU tree bits
+        outlive the lines a peer invalidation removed).  The form is
+        ``num_sets`` plus parallel ``sets`` / ``tags`` / ``states`` /
+        ``meta`` lists, all plain ints, so its size grows with resident
+        lines rather than with the cache.  For an ECC-protected subclass
+        the stored state integers already carry the packed check bits, so
+        this captures them for free.
         """
+        all_tags = self._tags
+        all_states = self._states
+        all_meta = self._meta
+        default = self.policy.make_meta()
+        listed = [
+            index
+            for index, (tags, meta) in enumerate(zip(all_tags, all_meta))
+            if tags or meta != default
+        ]
         return {
-            "tags": [list(tags) for tags in self._tags],
-            "states": [list(states) for states in self._states],
-            "meta": list(self._meta),
+            "num_sets": self.config.num_sets,
+            "sets": listed,
+            "tags": [list(all_tags[index]) for index in listed],
+            "states": [list(all_states[index]) for index in listed],
+            "meta": [all_meta[index] for index in listed],
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore checkpointed contents into a same-geometry directory.
 
+        Accepts the sparse form :meth:`state_dict` writes and the nested
+        one-row-per-set form of version 1/2 checkpoint files.  The sparse
+        path rewrites only the sets that are non-empty here or listed in
+        the checkpoint, so its cost follows residency, not cache size.
+
         Raises:
             EmulationError: when the checkpoint's set count does not match
-                this directory's geometry.
+                this directory's geometry, or its sparse listing is
+                malformed (checked before anything is changed).
         """
+        if "sets" not in state:
+            self._load_nested(state)
+            return
+        num_sets = int(state["num_sets"])
+        if num_sets != self.config.num_sets:
+            raise EmulationError(
+                f"checkpoint has {num_sets} sets; directory has "
+                f"{self.config.num_sets}"
+            )
+        listed = state["sets"]
+        if not (
+            len(listed) == len(state["tags"]) == len(state["states"])
+            == len(state["meta"])
+        ) or any(not 0 <= index < num_sets for index in listed):
+            raise EmulationError("checkpoint directory listing is malformed")
+        all_tags = self._tags
+        all_states = self._states
+        all_ways = self._ways
+        all_meta = self._meta
+        make_meta = self.policy.make_meta
+        default = make_meta()
+        for index, (tags, meta) in enumerate(zip(all_tags, all_meta)):
+            if tags:
+                tags.clear()
+                all_states[index].clear()
+                all_ways[index].clear()
+            if meta != default:
+                all_meta[index] = make_meta()
+        for index, tags, states, meta in zip(
+            listed, state["tags"], state["states"], state["meta"]
+        ):
+            all_tags[index] = [int(t) for t in tags]
+            all_states[index] = [int(s) for s in states]
+            all_meta[index] = int(meta)
+            self._rebuild_way_map(index)
+
+    def _load_nested(self, state: dict) -> None:
+        """Restore the nested per-set form of version 1/2 checkpoints."""
         tags = state["tags"]
         states = state["states"]
         meta = state["meta"]

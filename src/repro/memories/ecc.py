@@ -26,7 +26,7 @@ board, which keeps zero-fault runs byte-comparable to the seed behavior.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, ValidationError
@@ -260,6 +260,23 @@ class EccTagStateDirectory(TagStateDirectory):
     def iter_lines(self):
         for address, stored in super().iter_lines():
             yield address, stored & STATE_MASK
+
+    # -- checkpoint support ---------------------------------------------- #
+
+    def state_dict(self) -> dict:
+        """Directory contents plus the scrub bookkeeping in :attr:`ecc_stats`."""
+        state = super().state_dict()
+        state["ecc_stats"] = asdict(self.ecc_stats)
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore contents; files without ``ecc_stats`` (v1/v2) load zeros."""
+        super().load_state_dict(state)
+        stats = state.get("ecc_stats", {})
+        self.ecc_stats = EccStats(
+            scrub_passes=int(stats.get("scrub_passes", 0)),
+            lines_scrubbed=int(stats.get("lines_scrubbed", 0)),
+        )
 
     # -- verification, scrubbing, injection ------------------------------ #
 

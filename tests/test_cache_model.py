@@ -285,3 +285,76 @@ class TestWayMapCoherence:
         directory._ways[set_index][tag] = 1  # corrupt: points past the line
         with pytest.raises(EmulationError, match="out of sync"):
             directory.check_invariants()
+
+
+class TestSparseState:
+    """state_dict lists only sets that differ from a powered-up directory."""
+
+    def fill(self, directory, lines):
+        for line in lines:
+            set_index, tag, way = directory.probe(line * 128)
+            if way < 0:
+                directory.install(set_index, tag, int(LineState.SHARED))
+            else:
+                directory.touch(set_index, way)
+
+    def test_empty_directory_lists_no_sets(self):
+        state = make_directory().state_dict()
+        assert state == {
+            "num_sets": 32, "sets": [], "tags": [], "states": [], "meta": []
+        }
+
+    def test_lists_only_resident_sets(self):
+        directory = make_directory()
+        self.fill(directory, [3, 3 + 32, 7])
+        state = directory.state_dict()
+        assert state["sets"] == [3, 7]
+        assert [len(tags) for tags in state["tags"]] == [2, 1]
+
+    def test_plru_bits_listed_after_the_lines_are_gone(self):
+        directory = make_directory(replacement="plru")
+        self.fill(directory, [5])
+        set_index, _tag, way = directory.probe(5 * 128)
+        directory.invalidate(set_index, way)
+        state = directory.state_dict()
+        assert state["sets"] == [5]
+        assert state["tags"] == [[]]
+        assert state["meta"] == [directory._meta[5]] and state["meta"][0] != 0
+
+    def test_load_into_dirty_directory_drops_its_own_lines(self):
+        source = make_directory(replacement="plru")
+        self.fill(source, [1, 2, 2 + 32])
+        target = make_directory(replacement="plru")
+        self.fill(target, [2, 9, 9 + 32, 9 + 64, 20])
+        target.load_state_dict(source.state_dict())
+        assert target.state_dict() == source.state_dict()
+        assert target._meta == source._meta
+        target.check_invariants()
+        assert target.lookup_state(9 * 128) == int(LineState.INVALID)
+
+    def test_nested_form_still_loads(self):
+        source = make_directory()
+        self.fill(source, [0, 4, 4 + 32])
+        nested = {
+            "tags": [list(tags) for tags in source._tags],
+            "states": [list(states) for states in source._states],
+            "meta": list(source._meta),
+        }
+        target = make_directory()
+        self.fill(target, [11])
+        target.load_state_dict(nested)
+        assert target.state_dict() == source.state_dict()
+
+    def test_mismatched_or_malformed_state_rejected_untouched(self):
+        from repro.common.errors import EmulationError
+
+        directory = make_directory()
+        self.fill(directory, [6])
+        before = directory.state_dict()
+        other = make_directory(size=32 * 1024).state_dict()
+        with pytest.raises(EmulationError, match="sets"):
+            directory.load_state_dict(other)
+        bad = dict(before, sets=[99])
+        with pytest.raises(EmulationError, match="malformed"):
+            directory.load_state_dict(bad)
+        assert directory.state_dict() == before

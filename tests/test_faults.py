@@ -256,6 +256,64 @@ class TestCheckpoint:
         resumed.replay_words(words[1000:])
         assert resumed.statistics() == straight.statistics()
 
+    def test_ecc_scrub_bookkeeping_survives(self, tmp_path):
+        mach = split_smp_machine(CFG, n_cpus=4, procs_per_node=2)
+
+        def build():
+            return board_for_machine(mach, seed=3, ecc=True, scrub_interval=200)
+
+        def ecc_stats(board):
+            return [node.directory.ecc_stats for node in board.firmware.nodes]
+
+        words = synthetic_words(2000)
+        straight = build()
+        straight.replay_words(words)
+
+        interrupted = build()
+        interrupted.replay_words(words[:1000])
+        assert all(stats.scrub_passes > 0 for stats in ecc_stats(interrupted))
+        path = tmp_path / "board.ckpt"
+        save_checkpoint(interrupted, path)
+
+        resumed = build()
+        restore_checkpoint(resumed, path)
+        assert ecc_stats(resumed) == ecc_stats(interrupted)
+        resumed.replay_words(words[1000:])
+        assert ecc_stats(resumed) == ecc_stats(straight)
+        assert resumed.statistics() == straight.statistics()
+
+    def test_ecc_state_without_bookkeeping_loads_zeros(self):
+        board = self.build()
+        board.replay_words(synthetic_words(300))
+        directory = board.firmware.nodes[0].directory
+        directory.ecc_stats.scrub_passes = 5
+        state = directory.state_dict()
+        del state["ecc_stats"]  # as written by version 1/2 files
+        directory.load_state_dict(state)
+        assert directory.ecc_stats.scrub_passes == 0
+        assert directory.ecc_stats.lines_scrubbed == 0
+
+    def test_random_replacement_continues_identically(self, tmp_path):
+        config = CacheNodeConfig(
+            size=64 * 1024, assoc=4, line_size=128, replacement="random"
+        )
+        mach = split_smp_machine(config, n_cpus=4, procs_per_node=2)
+        words = synthetic_words(3000, seed=5)
+        straight = board_for_machine(mach, seed=11)
+        straight.replay_words(words)
+
+        interrupted = board_for_machine(mach, seed=11)
+        interrupted.replay_words(words[:1500])
+        path = tmp_path / "board.ckpt"
+        save_checkpoint(interrupted, path)
+
+        resumed = board_for_machine(mach, seed=11)
+        restore_checkpoint(resumed, path)
+        assert resumed.checkpoint() == interrupted.checkpoint()
+        resumed.replay_words(words[1500:])
+        assert resumed.statistics() == straight.statistics()
+        assert resumed.checkpoint() == straight.checkpoint()
+
     def test_checkpoint_is_plain_json(self, tmp_path):
         board = self.build()
         board.replay_words(synthetic_words(100))

@@ -197,7 +197,7 @@ class TestCheckpointIntegrity:
         save_checkpoint(board, path)
         payload = json.loads(path.read_text())
         assert payload["format"] == "memories-checkpoint"
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert isinstance(payload["crc"], int)
         assert "machine" in payload
 
@@ -341,6 +341,168 @@ class TestCheckpointEdgeCases:
         # windows and the final flush — is identical to the uninterrupted
         # series: cadence, sequence numbers, deltas, cycles.
         assert second_sink.records == full_sink.records[1:]
+
+
+# ---------------------------------------------------------------------- #
+# Sparse (version 3) directory state
+# ---------------------------------------------------------------------- #
+
+
+def _records(recs):
+    """Pack explicit (cpu, command, address) records."""
+    from repro.bus.trace import encode_arrays
+
+    cpus, commands, addresses = (
+        np.array(column, dtype=np.uint64) for column in zip(*recs)
+    )
+    return encode_arrays(cpus, commands, addresses)
+
+
+def write_v2_checkpoint(board, path):
+    """Write ``board`` the way version-2 files did: every directory set
+    as one nested row, no ECC bookkeeping, CRC over the canonical body."""
+    state = board.checkpoint()
+    for node_state, node in zip(
+        state["firmware"]["nodes"], board.firmware.nodes
+    ):
+        directory = node.directory
+        node_state["directory"] = {
+            "tags": [list(tags) for tags in directory._tags],
+            "states": [list(states) for states in directory._states],
+            "meta": list(directory._meta),
+        }
+    body = {"state": state, "machine": board.firmware.machine.fingerprint()}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    payload = {
+        "format": "memories-checkpoint",
+        "version": 2,
+        "crc": zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF,
+        **body,
+    }
+    Path(path).write_text(json.dumps(payload))
+
+
+class TestSparseCheckpoint:
+    WIDE = CacheNodeConfig(size=256 * 1024, assoc=4, line_size=128)
+
+    def _split(self, config=WIDE):
+        return board_for_machine(
+            split_smp_machine(config, n_cpus=4, procs_per_node=2), seed=0
+        )
+
+    @pytest.mark.parametrize("replacement", ["lru", "plru"])
+    def test_restore_into_dirty_board_equals_fresh(self, tmp_path, replacement):
+        config = CacheNodeConfig(
+            size=256 * 1024, assoc=4, line_size=128, replacement=replacement
+        )
+        words = synthetic_words(3000, seed=4)
+        saved = self._split(config)
+        saved.replay_words(words[:300])
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(saved, path)
+
+        fresh = self._split(config)
+        restore_checkpoint(fresh, path)
+        dirty = self._split(config)
+        # Different lines in sets the checkpoint does not list.
+        dirty.replay_words(synthetic_words(3000, seed=9))
+        assert dirty.checkpoint() != saved.checkpoint()
+        restore_checkpoint(dirty, path)
+
+        assert dirty.checkpoint() == fresh.checkpoint() == saved.checkpoint()
+        for node, reference in zip(dirty.firmware.nodes, saved.firmware.nodes):
+            assert (
+                node.directory.resident_lines()
+                == reference.directory.resident_lines()
+            )
+            node.directory.check_invariants()
+        dirty.replay_words(words[300:])
+        fresh.replay_words(words[300:])
+        assert dirty.statistics() == fresh.statistics()
+        assert dirty.checkpoint() == fresh.checkpoint()
+
+    def test_plru_bits_of_an_emptied_set_survive(self, tmp_path):
+        config = CacheNodeConfig(
+            size=64 * 1024, assoc=4, line_size=128, replacement="plru"
+        )
+        read, rwitm = int(BusCommand.READ), int(BusCommand.RWITM)
+        stride = 128 * config.num_sets  # every address below maps to set 0
+        # Node 0 fills two ways of set 0, then node 1's writes invalidate
+        # both copies: the set is empty but its tree bits are not reset.
+        head = _records([
+            (0, read, 0), (0, read, stride), (0, read, 0),
+            (2, rwitm, 0), (2, rwitm, stride),
+        ])
+        # Refill set 0 past its associativity so the tree picks victims.
+        tail = _records([(1, read, k * stride) for k in range(2, 9)])
+
+        scalar = self._split(config)
+        scalar.batched_replay = False
+        scalar.replay_words(np.concatenate([head, tail]))
+
+        first = self._split(config)
+        first.replay_words(head)
+        directory = first.firmware.nodes[0].directory.state_dict()
+        assert directory["sets"] == [0]
+        assert directory["tags"] == [[]]
+        assert directory["meta"][0] != 0
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(first, path)
+
+        resumed = self._split(config)
+        restore_checkpoint(resumed, path)
+        assert resumed.checkpoint() == first.checkpoint()
+        resumed.replay_words(tail)
+        assert resumed.statistics() == scalar.statistics()
+        assert resumed.checkpoint() == scalar.checkpoint()
+
+    def test_v2_nested_file_restores_and_continues(self, tmp_path):
+        words = synthetic_words(2000, seed=6)
+        straight = self._split()
+        straight.replay_words(words)
+
+        interrupted = self._split()
+        interrupted.replay_words(words[:1000])
+        path = tmp_path / "ckpt-v2.json"
+        write_v2_checkpoint(interrupted, path)
+        payload = load_checkpoint_payload(path)
+        assert payload["version"] == 2
+        assert "sets" not in payload["state"]["firmware"]["nodes"][0]["directory"]
+
+        resumed = self._split()
+        restore_checkpoint(resumed, path)
+        assert resumed.checkpoint() == interrupted.checkpoint()
+        resumed.replay_words(words[1000:])
+        assert resumed.statistics() == straight.statistics()
+        assert resumed.checkpoint() == straight.checkpoint()
+
+    def test_large_mostly_empty_directory_stays_small(self, tmp_path):
+        config = CacheNodeConfig(size=16 * 1024 * 1024, assoc=4, line_size=128)
+        target = split_smp_machine(config, n_cpus=8, procs_per_node=2)
+        words = synthetic_words(4000, n_cpus=8, seed=3)
+        board = board_for_machine(target, seed=0)
+        board.replay_words(words)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(board, path)
+        assert path.stat().st_size < 100 * 1024  # v2 wrote 1.45 MB here
+        restored = board_for_machine(target, seed=0)
+        restore_checkpoint(restored, path)
+        assert restored.checkpoint() == board.checkpoint()
+
+    def test_firmware_without_state_dict_is_refused(self, tmp_path):
+        from repro.memories.board import MemoriesBoard
+        from repro.memories.firmware.numa_directory import (
+            NumaDirectoryFirmware,
+        )
+
+        board = MemoriesBoard(
+            NumaDirectoryFirmware(CFG, [0, 0, 1, 1]), name="numa"
+        )
+        board.replay_words(synthetic_words(1500))
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ConfigurationError, match="NumaDirectoryFirmware"):
+            save_checkpoint(board, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------- #

@@ -18,6 +18,11 @@ recovery guarantees the subsystem is built around:
    is quarantined, and a node whose ECC self-check reports uncorrectable
    directory damage is taken offline; both runs *complete*, with the
    degradation journaled and accounted in the statistics.
+5. **Large, sparse directory kill** — SIGKILL mid-segment on a 4-node
+   16 MB/node split machine, where almost every directory set is empty:
+   the resumed run is bit-identical to a bare replay, and every
+   committed checkpoint stays under :data:`SPARSE_CHECKPOINT_BYTES`
+   (sparse directory state grows with resident lines, not cache size).
 
 Everything is seeded, so a CI failure reproduces locally byte-for-byte.
 Exit status is non-zero on any violation.
@@ -40,11 +45,13 @@ from repro.supervisor import (
     SupervisedRunSpec,
     SupervisorError,
 )
-from repro.target.configs import single_node_machine
+from repro.target.configs import single_node_machine, split_smp_machine
 
 RECORDS = 4000
 SEGMENT_RECORDS = 1000
 SEED = 20000
+#: Bound on one committed checkpoint of the 4 x 16 MB machine (contract 5).
+SPARSE_CHECKPOINT_BYTES = 100 * 1024
 
 
 def _spec(**overrides) -> SupervisedRunSpec:
@@ -138,6 +145,27 @@ def main() -> int:
             and result.offline_nodes == [0]
             and result.statistics["board.offline_nodes"] == 1,
             f"offline={result.offline_nodes}",
+        )
+
+        large = CacheNodeConfig(size=16 * 1024 * 1024, assoc=4, line_size=128)
+        large_spec = _spec(
+            machine=split_smp_machine(large, n_cpus=8, procs_per_node=2)
+        )
+        large_words = synthetic_words(RECORDS, SEED + 5, n_cpus=8)
+        large_bare = _bare_statistics(large_spec, large_words)
+        supervisor = RunSupervisor.create(large_spec, large_words, tmp / "large")
+        result = supervisor.run(chaos=ChaosPlan(kill_after_records=1500))
+        sizes = [
+            path.stat().st_size
+            for path in (tmp / "large" / "checkpoints").glob("ckpt-*.json")
+        ]
+        smoke.check(
+            "4 x 16 MB mid-segment SIGKILL: identical resume, small checkpoints",
+            result.statistics == large_bare
+            and result.restarts == 1
+            and sizes
+            and max(sizes) < SPARSE_CHECKPOINT_BYTES,
+            f"restarts={result.restarts} checkpoint_bytes={sizes}",
         )
 
     return smoke.finish()
