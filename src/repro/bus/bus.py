@@ -6,12 +6,19 @@ observe tenures but, per Section 3.4 of the paper, normally cannot stop or
 inject them.  The one exception the paper allows — the address filter posting
 a retry when its transaction buffers are completely full — is modeled via the
 monitor's ``observe`` return value.
+
+Host caches that join the bus's snoop filter are snooped only on lines they
+may hold.  The filter is the paper's sparse directory (see
+:mod:`repro.memories.firmware.numa_directory`) turned to the host side: a
+map from line number to a bitmask of the caches holding that line.  A cache
+that does not hold a line answers NULL and changes nothing, so skipping it
+leaves every response, statistic and captured word as it was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol
 
 from repro.bus.transaction import (
     BusCommand,
@@ -19,6 +26,7 @@ from repro.bus.transaction import (
     SnoopResponse,
     combine_snoop_responses,
 )
+from repro.common.addr import is_power_of_two
 
 #: Address-tenure occupancy in bus cycles.  The 6xx bus is split-transaction;
 #: an address tenure occupies the address bus for a small fixed number of
@@ -44,7 +52,11 @@ _MAX_BACKOFF_CYCLES = 256
 
 
 class Snooper(Protocol):
-    """An active bus device that participates in the snoop phase."""
+    """An active bus device that participates in the snoop phase.
+
+    A snooper may also define ``line_size`` and
+    ``join_snoop_filter(holders, bit)``; see :meth:`SystemBus.attach_snooper`.
+    """
 
     def snoop(self, txn: BusTransaction) -> SnoopResponse:
         """React to an address tenure issued by another master."""
@@ -109,7 +121,8 @@ class SystemBus:
     monitors with :meth:`attach_monitor`.  :meth:`issue` runs one address
     tenure end-to-end: snoop phase, response combining, monitor observation
     and statistics update, and returns the completed transaction (with
-    ``seq`` and ``snoop_response`` filled in).
+    ``seq`` and ``snoop_response`` filled in).  Snoopers that join the
+    snoop filter are snooped only on memory tenures for lines they hold.
 
     Args:
         clock_hz: bus clock frequency; the S7A's 6xx bus runs at 100 MHz.
@@ -128,14 +141,49 @@ class SystemBus:
     stats: BusStats = field(default_factory=BusStats)
 
     def __post_init__(self) -> None:
-        self._snoopers: List[Snooper] = []
+        # Snoopers outside the filter see every tenure; filtered ones are
+        # indexed by their holder bit's position.
+        self._unfiltered: List[Snooper] = []
+        self._filtered: List[Snooper] = []
+        self._filter_bit: Dict[int, int] = {}  # id(snooper) -> holder bit
+        #: line number -> bitmask of filtered snoopers holding the line
+        self._holders: Dict[int, int] = {}
+        self._line_shift: Optional[int] = None
         self._monitors: List[Monitor] = []
         self._seq = 0
         self._telemetry = None
 
     def attach_snooper(self, snooper: Snooper) -> None:
-        """Register an active device (host L2, memory controller)."""
-        self._snoopers.append(snooper)
+        """Register an active device (host L2, memory controller).
+
+        A snooper with a power-of-two ``line_size`` and a
+        ``join_snoop_filter(holders, bit)`` method joins the snoop filter:
+        it is given the shared line → holder-bitmask map and its own bit,
+        and must keep its bit set exactly for the lines it holds.  The
+        first joiner fixes the filter's line size; a snooper with another
+        line size, or without the hook, is snooped on every tenure.
+        """
+        join = getattr(snooper, "join_snoop_filter", None)
+        line_size = getattr(snooper, "line_size", 0)
+        if (
+            join is None
+            or not is_power_of_two(line_size)
+            or self._line_shift not in (None, line_size.bit_length() - 1)
+        ):
+            self._unfiltered.append(snooper)
+            return
+        self._line_shift = line_size.bit_length() - 1
+        bit = 1 << len(self._filtered)
+        self._filtered.append(snooper)
+        self._filter_bit[id(snooper)] = bit
+        join(self._holders, bit)
+
+    def snoop_filter(self) -> Dict[int, int]:
+        """A copy of the filter's line number → holder bitmask map.
+
+        Bit ``1 << i`` is the ``i``-th snooper that joined the filter.
+        """
+        return dict(self._holders)
 
     def attach_monitor(self, monitor: Monitor) -> None:
         """Register a passive monitor (a MemorIES board)."""
@@ -195,7 +243,8 @@ class SystemBus:
         """Run one address tenure and return the completed transaction.
 
         Every snooper other than ``issuer`` sees the tenure and contributes
-        a snoop response.  Monitors then observe the *completed* tenure
+        a snoop response, except filtered snoopers not holding the line,
+        whose response would be NULL.  Monitors then observe the *completed* tenure
         (command, address, requester and combined response) exactly as the
         MemorIES board does from the bus pins.
 
@@ -241,8 +290,16 @@ class SystemBus:
         """One arbitration: snoop phase, response combining, monitors."""
         self._seq += 1
         responses = [
-            snooper.snoop(txn) for snooper in self._snoopers if snooper is not issuer
+            snooper.snoop(txn) for snooper in self._unfiltered if snooper is not issuer
         ]
+        if self._filtered and txn.command.is_memory:
+            holders = self._holders.get(txn.address >> self._line_shift, 0)
+            holders &= ~self._filter_bit.get(id(issuer), 0)
+            filtered = self._filtered
+            while holders:
+                low = holders & -holders
+                responses.append(filtered[low.bit_length() - 1].snoop(txn))
+                holders ^= low
         combined = combine_snoop_responses(responses)
         completed = txn.with_response(self._seq, combined)
 

@@ -10,7 +10,8 @@ place, so the slicing logic is tested once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
 from repro.common.errors import ValidationError
 
 
@@ -34,29 +35,28 @@ def log2_int(value: int) -> int:
 class AddressMap:
     """Splits physical addresses into (tag, set index, line offset).
 
+    The shift widths are derived once, at construction: every cache and
+    directory slices addresses on its hottest path.
+
     Attributes:
         line_size: cache line size in bytes; must be a power of two.
         num_sets: number of sets in the cache; must be a power of two.
+        offset_bits: number of address bits covered by the line offset.
+        index_bits: number of address bits covered by the set index.
     """
 
     line_size: int
     num_sets: int
+    offset_bits: int = field(init=False, repr=False, compare=False)
+    index_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.line_size):
             raise ValidationError(f"line size {self.line_size} is not a power of two")
         if not is_power_of_two(self.num_sets):
             raise ValidationError(f"set count {self.num_sets} is not a power of two")
-
-    @property
-    def offset_bits(self) -> int:
-        """Number of address bits covered by the line offset."""
-        return log2_int(self.line_size)
-
-    @property
-    def index_bits(self) -> int:
-        """Number of address bits covered by the set index."""
-        return log2_int(self.num_sets)
+        object.__setattr__(self, "offset_bits", log2_int(self.line_size))
+        object.__setattr__(self, "index_bits", log2_int(self.num_sets))
 
     def line_address(self, address: int) -> int:
         """The line-aligned address containing ``address``."""

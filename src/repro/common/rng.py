@@ -11,6 +11,7 @@ the streams of existing ones.  :class:`RngStreams` hands out one
 from __future__ import annotations
 
 import zlib
+from typing import Dict
 
 import numpy as np
 
@@ -47,6 +48,28 @@ class RngStreams:
             stream = np.random.default_rng(np.random.SeedSequence([self._seed, key]))
             self._streams[name] = stream
         return stream
+
+    def snapshot(self) -> Dict[str, dict]:
+        """The bit-generator state of every stream created so far.
+
+        Pass the result to :meth:`restore` to rewind the family.
+        """
+        return {
+            name: stream.bit_generator.state for name, stream in self._streams.items()
+        }
+
+    def restore(self, snapshot: Dict[str, dict]) -> None:
+        """Rewind every stream to ``snapshot`` (from :meth:`snapshot`).
+
+        Streams in the snapshot are rewound in place, so holders of their
+        generators (samplers) see the rewound sequence.  Streams created
+        after the snapshot are dropped; the next :meth:`get` creates them
+        afresh, from the same state a fresh family would give them.
+        """
+        for name in [name for name in self._streams if name not in snapshot]:
+            del self._streams[name]
+        for name, state in snapshot.items():
+            self.get(name).bit_generator.state = state
 
     def fork(self, name: str) -> "RngStreams":
         """Create a child family whose root seed depends on (seed, name).

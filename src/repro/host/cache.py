@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.bus.bus import SystemBus
 from repro.bus.transaction import BusCommand, BusTransaction, SnoopResponse
@@ -103,12 +104,34 @@ class SnoopingCache:
         self.assoc = assoc
         self.line_size = line_size
         self.amap = AddressMap(line_size=line_size, num_sets=num_sets)
+        self._offset_bits = self.amap.offset_bits
+        self._index_bits = self.amap.index_bits
+        self._set_mask = num_sets - 1
         self.stats = CacheStats()
         # MRU-first parallel lists per set.
         self._tags: list[list[int]] = [[] for _ in range(num_sets)]
         self._states: list[list[int]] = [[] for _ in range(num_sets)]
         # Inclusion listeners (an L1) are told whenever a line leaves.
         self._inclusion_listeners: list = []
+        # The bus's snoop filter (line number -> holder bitmask) and this
+        # cache's bit in it; None until the bus admits the cache.
+        self._holders: Optional[dict] = None
+        self._holder_bit = 0
+
+    def join_snoop_filter(self, holders: dict, bit: int) -> None:
+        """Keep ``bit`` set in ``holders[line]`` exactly while holding ``line``.
+
+        Called by :meth:`SystemBus.attach_snooper`; the bus then snoops
+        this cache only on lines whose mask carries ``bit``.  Lines already
+        resident are entered at once.
+        """
+        self._holders = holders
+        self._holder_bit = bit
+        index_bits = self._index_bits
+        for set_index, tags in enumerate(self._tags):
+            for tag in tags:
+                line = (tag << index_bits) | set_index
+                holders[line] = holders.get(line, 0) | bit
 
     def add_inclusion_listener(self, callback) -> None:
         """Register a callable(line_address) invoked when a line is lost.
@@ -119,6 +142,15 @@ class SnoopingCache:
         self._inclusion_listeners.append(callback)
 
     def _notify_loss(self, set_index: int, tag: int) -> None:
+        """A line left the cache (eviction, castout or invalidation)."""
+        holders = self._holders
+        if holders is not None:
+            line = (tag << self._index_bits) | set_index
+            mask = holders[line] & ~self._holder_bit
+            if mask:
+                holders[line] = mask
+            else:
+                del holders[line]
         if self._inclusion_listeners:
             line_address = self.amap.rebuild(tag, set_index)
             for callback in self._inclusion_listeners:
@@ -142,9 +174,9 @@ class SnoopingCache:
         else:
             stats.read_accesses += 1
 
-        amap = self.amap
-        set_index = amap.set_index(address)
-        tag = amap.tag(address)
+        line = address >> self._offset_bits
+        set_index = line & self._set_mask
+        tag = line >> self._index_bits
         tags = self._tags[set_index]
         states = self._states[set_index]
 
@@ -184,7 +216,9 @@ class SnoopingCache:
             self._notify_loss(set_index, victim_tag)
             if victim_state == MESIState.MODIFIED:
                 stats.castouts += 1
-                victim_addr = amap.rebuild(victim_tag, set_index)
+                victim_addr = (
+                    (victim_tag << self._index_bits) | set_index
+                ) << self._offset_bits
                 self.bus.issue(
                     BusTransaction(self.cpu_id, BusCommand.CASTOUT, victim_addr),
                     issuer=self,
@@ -206,6 +240,9 @@ class SnoopingCache:
 
         tags.insert(0, tag)
         states.insert(0, int(new_state))
+        holders = self._holders
+        if holders is not None:
+            holders[line] = holders.get(line, 0) | self._holder_bit
         return False
 
     # ------------------------------------------------------------------ #
@@ -218,10 +255,11 @@ class SnoopingCache:
         if not command.is_memory:
             return SnoopResponse.NULL
 
-        set_index = self.amap.set_index(txn.address)
+        line = txn.address >> self._offset_bits
+        set_index = line & self._set_mask
         tags = self._tags[set_index]
         try:
-            way = tags.index(self.amap.tag(txn.address))
+            way = tags.index(line >> self._index_bits)
         except ValueError:
             return SnoopResponse.NULL
 

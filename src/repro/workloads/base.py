@@ -19,7 +19,8 @@ boundaries).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterator, Tuple
+import functools
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +67,10 @@ class InterleavedWorkload(Workload):
         self.seed = seed
         self.streams = RngStreams(seed)
         self._cpu_state: Dict[int, dict] = {}
+        # Stream states right after construction (samplers built); taken
+        # lazily, by the first chunks() or reset(), because subclasses
+        # build their samplers after this constructor returns.
+        self._initial_streams: Optional[Dict[str, dict]] = None
 
     # ------------------------------------------------------------------ #
     # Subclass interface
@@ -97,6 +102,7 @@ class InterleavedWorkload(Workload):
     def chunks(self, n_refs: int, chunk_size: int = 65536) -> Iterator[Chunk]:
         if n_refs < 0:
             raise ConfigurationError("n_refs must be non-negative")
+        self._snapshot_streams()
         mix_rng = self.streams.get("mixer")
         produced = 0
         while produced < n_refs:
@@ -121,17 +127,19 @@ class InterleavedWorkload(Workload):
     def reset(self) -> None:
         """Restart all per-CPU streams and state.
 
-        Subclasses that build long-lived samplers from the stream family
-        must rebuild them in :meth:`_rebuild_samplers`, which runs after
-        the fresh streams exist — otherwise the samplers would keep
-        consuming the old, already-advanced generators.
+        Rewinds every stream to its state at the end of construction, in
+        place, so samplers built from the stream family (Zipf rank maps
+        and all) continue exactly as a newly built instance's would; the
+        streams ``chunks()`` creates (``mixer``, ``cpu*``) are dropped and
+        start afresh.  Nothing is rebuilt, so subclasses need no hook.
         """
-        self.streams = RngStreams(self.seed)
+        self._snapshot_streams()
+        self.streams.restore(self._initial_streams)
         self._cpu_state.clear()
-        self._rebuild_samplers()
 
-    def _rebuild_samplers(self) -> None:
-        """Hook for subclasses owning stream-backed samplers (default: none)."""
+    def _snapshot_streams(self) -> None:
+        if self._initial_streams is None:
+            self._initial_streams = self.streams.snapshot()
 
 
 def zipf_page_sampler(
@@ -141,6 +149,20 @@ def zipf_page_sampler(
 ) -> "ZipfSampler":
     """Convenience constructor for a bounded Zipf sampler over pages."""
     return ZipfSampler(n_pages, exponent, rng)
+
+
+@functools.lru_cache(maxsize=16)
+def _zipf_cdf(n: int, exponent: float) -> np.ndarray:
+    """The truncated Zipf CDF over ``n`` ranks, shared read-only.
+
+    Per-CPU samplers over one population (TPC-C's affine heat maps) differ
+    only in their permutation, so they share one CDF array.
+    """
+    weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), exponent)
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf
 
 
 class ZipfSampler:
@@ -166,9 +188,7 @@ class ZipfSampler:
         self.n = n
         self.exponent = exponent
         self._rng = rng
-        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), exponent)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
+        self._cdf = _zipf_cdf(n, float(exponent))
         self._perm = rng.permutation(n)
 
     def draw(self, count: int) -> np.ndarray:

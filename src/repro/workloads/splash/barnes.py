@@ -72,15 +72,12 @@ class BarnesWorkload(InterleavedWorkload):
         self.tree_fraction = tree_fraction
         self.rebuild_fraction = rebuild_fraction
         self.zipf_exponent = zipf_exponent
-        self._rebuild_samplers()
-        # One timestep visits every owned body once (heuristically x2 for
-        # multiple per-body passes).
-        self.timestep_refs = max(1024, 2 * self.geometry.partition_lines)
-
-    def _rebuild_samplers(self) -> None:
         self._tree = ZipfSampler(
             self.geometry.shared_lines, self.zipf_exponent, self.streams.get("tree")
         )
+        # One timestep visits every owned body once (heuristically x2 for
+        # multiple per-body passes).
+        self.timestep_refs = max(1024, 2 * self.geometry.partition_lines)
 
     @classmethod
     def paper_scale(cls, scale: int = 512, n_cpus: int = 8, seed: int = 0) -> "BarnesWorkload":

@@ -71,9 +71,6 @@ class FmmWorkload(InterleavedWorkload):
         self.shared_fraction = shared_fraction
         self.shared_write_fraction = shared_write_fraction
         self.zipf_exponent = zipf_exponent
-        self._rebuild_samplers()
-
-    def _rebuild_samplers(self) -> None:
         self._cells = ZipfSampler(
             self.geometry.shared_lines, self.zipf_exponent, self.streams.get("cells")
         )

@@ -107,20 +107,6 @@ class TpccWorkload(InterleavedWorkload):
         self.common_region_lines = min(common_region_bytes // LINE, self.n_lines)
         self.affine_region_lines = min(affine_region_bytes // LINE, self.n_lines)
         self.zipf_exponent = zipf_exponent
-        self._rebuild_samplers()
-        # Region bases: private regions first, then the database.  The
-        # common region occupies the start of the database; bounded affine
-        # regions are laid out disjointly after it.
-        self._private_base = [cpu * private_bytes for cpu in range(n_cpus)]
-        self._db_base = n_cpus * private_bytes
-        self._affine_base = [
-            self._db_base
-            + self.common_region_lines * LINE
-            + cpu * self.affine_region_lines * LINE
-            for cpu in range(n_cpus)
-        ]
-
-    def _rebuild_samplers(self) -> None:
         layout_rng = self.streams.get("layout")
         if self.common_region_lines > 0:
             # Bounded common working set: a mild Zipf over the region so it
@@ -138,6 +124,17 @@ class TpccWorkload(InterleavedWorkload):
                 self.streams.get(f"affine{cpu}"),
             )
             for cpu in range(self.n_cpus)
+        ]
+        # Region bases: private regions first, then the database.  The
+        # common region occupies the start of the database; bounded affine
+        # regions are laid out disjointly after it.
+        self._private_base = [cpu * private_bytes for cpu in range(n_cpus)]
+        self._db_base = n_cpus * private_bytes
+        self._affine_base = [
+            self._db_base
+            + self.common_region_lines * LINE
+            + cpu * self.affine_region_lines * LINE
+            for cpu in range(n_cpus)
         ]
 
     def cpu_refs(

@@ -78,9 +78,6 @@ class TpchWorkload(InterleavedWorkload):
         # Dimension heat at line granularity (see TpccWorkload for why).
         self._dim_lines = max(1, dim_bytes // LINE)
         self.zipf_exponent = zipf_exponent
-        self._rebuild_samplers()
-
-    def _rebuild_samplers(self) -> None:
         self._dims = ZipfSampler(
             self._dim_lines, self.zipf_exponent, self.streams.get("dims")
         )

@@ -75,16 +75,13 @@ class WebWorkload(InterleavedWorkload):
         self._buffer_base = [cpu * buffer_bytes for cpu in range(n_cpus)]
         self._metadata_base = n_cpus * buffer_bytes
         self._files_base = self._metadata_base + metadata_bytes
-        self._rebuild_samplers()
-        self._build_file_table()
-
-    def _rebuild_samplers(self) -> None:
         self._popularity = ZipfSampler(
             self.n_files, self.popularity_exponent, self.streams.get("popularity")
         )
         self._metadata = ZipfSampler(
             max(1, self.metadata_bytes // LINE), 0.8, self.streams.get("metadata")
         )
+        self._build_file_table()
 
     def _build_file_table(self) -> None:
         """File sizes: log-uniform between mean/8 and 8x mean, renormalised."""

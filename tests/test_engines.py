@@ -208,11 +208,11 @@ class TestSelectBoardEngine:
     def test_prefers_batched_when_eligible(self):
         assert select_board_engine(default_board()).name == "batched"
 
-    def test_random_replacement_demotes_to_batched(self):
+    def test_random_replacement_selects_batched(self):
         board = board_for_machine(machine_for("split", "random"))
         assert select_board_engine(board).name == "batched"
 
-    def test_sdram_node_demotes_to_batched(self):
+    def test_sdram_node_selects_batched(self):
         board = default_board()
         board.firmware.nodes[0].sdram = SdramModel()
         assert select_board_engine(board).name == "batched"

@@ -7,14 +7,21 @@ performance or presentation) — either fix the regression or consciously
 re-baseline the constants below and say why in the commit.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.experiments.pipeline import capture_records
-from repro.host.smp import HostConfig
+from repro.host.smp import HostConfig, HostSMP
+from repro.memories.board import MemoriesBoard
 from repro.memories.board import board_for_machine
 from repro.memories.config import CacheNodeConfig
+from repro.memories.firmware.tracer import TraceCollectorFirmware
 from repro.target.configs import single_node_machine, split_smp_machine
+from repro.workloads.splash.barnes import BarnesWorkload
 from repro.workloads.tpcc import TpccWorkload
+from repro.workloads.web import WebWorkload
 
 HOST = HostConfig(n_cpus=4, l2_size=16 * 1024, l2_assoc=2)
 
@@ -95,3 +102,99 @@ def _expected_placeholder():
 
         pytest tests/test_regression_golden.py -q  # shows the diffs
     """
+
+#: Captured-trace digests, pinned before the host's snoop filter and
+#: precomputed address slicing existed: (record count, sha256 of words).
+TPCC_L1_RECORDS = 23228
+TPCC_L1_SHA256 = "bff742a816bc8da9574cd6e5f96f5bbcd3f0c734c31fb458ae5a092af2871808"
+WEB_RECORDS = 40118
+WEB_SHA256 = "8f92f7cecfc89d4b3d3225d04974044649113b0a5ce183e7732846e2267ece02"
+BARNES_RECORDS = 15655
+BARNES_SHA256 = "e50c02b66337e11ca2fcae2b0889c60d6c34876a0ab1ce2b7746496ade8e2986"
+DIRECT_MAPPED_RECORDS = 49024
+DIRECT_MAPPED_SHA256 = "c2eb74cadf7d4f1e3cef783d28147990184804b0f5bb97721ea79f8509182544"
+DMA_RECORDS = 28463
+DMA_SHA256 = "3f3f765d352a132aec39a0857771d4a2eb4c09880a5da597d1c2b1bd82ee8dee"
+
+
+def _small_tpcc(seed):
+    return TpccWorkload(
+        db_bytes=1 << 22,
+        n_cpus=4,
+        private_bytes=8 * 1024,
+        p_private=0.1,
+        p_common=0.3,
+        zipf_exponent=1.2,
+        seed=seed,
+    )
+
+
+def _capture_sha256(workload, host_config, n_refs, dma_per_chunk=0):
+    """(record count, sha256 of the little-endian trace words) of a capture.
+
+    With ``dma_per_chunk`` > 0, after each chunk the I/O bridge issues that
+    many tenures at addresses the chunk just touched: DMA reads, DMA writes
+    and I/O-register accesses, chosen by a fixed-seed generator.
+    """
+    host = HostSMP(host_config)
+    tracer = TraceCollectorFirmware()
+    host.plug_in(MemoriesBoard(tracer, name="golden"))
+    dma_rng = np.random.default_rng(2024)
+    bridge = host.io_bridge
+    for cpu_ids, addresses, is_writes in workload.chunks(n_refs, 2048):
+        host.run_chunk(cpu_ids, addresses, is_writes)
+        if dma_per_chunk:
+            targets = dma_rng.choice(addresses, dma_per_chunk)
+            kinds = dma_rng.integers(0, 3, dma_per_chunk)
+            for address, kind in zip(targets.tolist(), kinds.tolist()):
+                if kind == 0:
+                    bridge.dma_read(address)
+                elif kind == 1:
+                    bridge.dma_write(address)
+                else:
+                    bridge.register_access(address, is_write=bool(address & 128))
+    words = tracer.to_trace().words
+    return len(words), hashlib.sha256(words.astype("<u8").tobytes()).hexdigest()
+
+
+class TestGoldenCaptureDigests:
+    """Full sha256 of captured trace words for the host paths capture uses.
+
+    Host-side optimisations (address slicing, snoop filtering) must leave
+    every captured word byte-identical; the sum fingerprint above can
+    mask compensating changes, a digest cannot.
+    """
+
+    def test_tpcc_with_l1(self):
+        host = HostConfig(
+            n_cpus=4, l2_size=32 * 1024, l2_assoc=2, l1_size=4 * 1024, l1_assoc=2
+        )
+        assert _capture_sha256(_small_tpcc(11), host, 40_000) == (
+            TPCC_L1_RECORDS, TPCC_L1_SHA256,
+        )
+
+    def test_web(self):
+        workload = WebWorkload(
+            fileset_bytes=1 << 22, n_files=512, n_cpus=4, seed=5
+        )
+        assert _capture_sha256(workload, HOST, 40_000) == (
+            WEB_RECORDS, WEB_SHA256,
+        )
+
+    def test_barnes(self):
+        workload = BarnesWorkload(n_bodies=8192, n_cpus=4, seed=3)
+        assert _capture_sha256(workload, HOST, 40_000) == (
+            BARNES_RECORDS, BARNES_SHA256,
+        )
+
+    def test_one_megabyte_direct_mapped_l2(self):
+        workload = TpccWorkload(db_bytes=1 << 24, n_cpus=4, seed=21)
+        host = HostConfig(n_cpus=4, l2_size=1 << 20, l2_assoc=1)
+        assert _capture_sha256(workload, host, 60_000) == (
+            DIRECT_MAPPED_RECORDS, DIRECT_MAPPED_SHA256,
+        )
+
+    def test_io_bridge_dma(self):
+        assert _capture_sha256(_small_tpcc(17), HOST, 40_000, dma_per_chunk=48) == (
+            DMA_RECORDS, DMA_SHA256,
+        )

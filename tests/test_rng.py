@@ -44,3 +44,25 @@ class TestRngStreams:
 
     def test_seed_property(self):
         assert RngStreams(seed=11).seed == 11
+
+    def test_restore_rewinds_in_place(self):
+        streams = RngStreams(seed=5)
+        held = streams.get("x")
+        held.random(3)
+        snapshot = streams.snapshot()
+        expected = held.random(6)
+        held.random(10)
+        streams.restore(snapshot)
+        assert streams.get("x") is held
+        assert (held.random(6) == expected).all()
+
+    def test_restore_drops_later_streams(self):
+        streams = RngStreams(seed=5)
+        streams.get("x")
+        snapshot = streams.snapshot()
+        late = streams.get("late")
+        late.random(4)
+        streams.restore(snapshot)
+        fresh = streams.get("late")
+        assert fresh is not late
+        assert (fresh.random(4) == RngStreams(seed=5).get("late").random(4)).all()

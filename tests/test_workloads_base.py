@@ -6,6 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.workloads.base import InterleavedWorkload, LINE, ZipfSampler
+from repro.workloads.osjournal import JournalBugOverlay
+from repro.workloads.splash.barnes import BarnesWorkload
+from repro.workloads.splash.fmm import FmmWorkload
+from repro.workloads.tpcc import TpccWorkload
+from repro.workloads.tpch import TpchWorkload
+from repro.workloads.web import WebWorkload
 
 
 class UniformWorkload(InterleavedWorkload):
@@ -119,3 +125,78 @@ class TestZipfSampler:
         sampler = ZipfSampler(n, exponent, np.random.default_rng(0))
         draws = sampler.draw(count)
         assert draws.min() >= 0 and draws.max() < n
+
+
+#: One factory per workload family with stream-backed samplers; each takes
+#: a seed and builds a small instance.
+RESET_CASES = {
+    "tpcc": lambda seed: TpccWorkload(db_bytes=1 << 22, n_cpus=4, seed=seed),
+    "tpcc-bounded-common": lambda seed: TpccWorkload(
+        db_bytes=1 << 22,
+        n_cpus=4,
+        common_region_bytes=1 << 17,
+        common_write_fraction=0.05,
+        seed=seed,
+    ),
+    "tpcc-bounded-affine": lambda seed: TpccWorkload(
+        db_bytes=1 << 22, n_cpus=4, affine_region_bytes=1 << 17, seed=seed
+    ),
+    "tpch": lambda seed: TpchWorkload(
+        fact_bytes=1 << 22, dim_bytes=1 << 18, n_cpus=4, seed=seed
+    ),
+    "web": lambda seed: WebWorkload(
+        fileset_bytes=1 << 22, n_files=256, n_cpus=4, seed=seed
+    ),
+    "barnes": lambda seed: BarnesWorkload(n_bodies=4096, n_cpus=4, seed=seed),
+    "fmm": lambda seed: FmmWorkload(n_particles=4096, n_cpus=4, seed=seed),
+    "osjournal": lambda seed: JournalBugOverlay(
+        TpccWorkload(db_bytes=1 << 22, n_cpus=4, seed=seed),
+        period_refs=1500,
+        burst_refs=200,
+    ),
+}
+
+
+def _stream(workload, n_refs=6000, chunk_size=1000):
+    return [
+        tuple(array.copy() for array in chunk)
+        for chunk in workload.chunks(n_refs, chunk_size)
+    ]
+
+
+def _assert_same_stream(got, expected):
+    assert len(got) == len(expected)
+    for got_chunk, expected_chunk in zip(got, expected):
+        for got_array, expected_array in zip(got_chunk, expected_chunk):
+            np.testing.assert_array_equal(got_array, expected_array)
+
+
+class TestResetEqualsFresh:
+    """``reset()`` rewinds to exactly what a newly built instance yields."""
+
+    @pytest.mark.parametrize("name", sorted(RESET_CASES))
+    def test_reset_after_partial_consumption(self, name):
+        make = RESET_CASES[name]
+        workload = make(31)
+        partial = workload.chunks(6000, 1000)
+        next(partial)
+        next(partial)  # the generator is left suspended mid-stream
+        _stream(workload, 2500, 700)  # and a second, completed pass
+        workload.reset()
+        _assert_same_stream(_stream(workload), _stream(make(31)))
+
+    @pytest.mark.parametrize("name", sorted(RESET_CASES))
+    def test_reset_before_any_chunks(self, name):
+        make = RESET_CASES[name]
+        workload = make(8)
+        workload.reset()
+        _assert_same_stream(_stream(workload), _stream(make(8)))
+
+    @pytest.mark.parametrize("name", ["tpcc", "web"])
+    def test_repeated_resets(self, name):
+        make = RESET_CASES[name]
+        expected = _stream(make(4))
+        workload = make(4)
+        for _ in range(3):
+            _assert_same_stream(_stream(workload), expected)
+            workload.reset()
