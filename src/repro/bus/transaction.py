@@ -73,6 +73,12 @@ class SnoopResponse(enum.IntEnum):
     RETRY = 3
 
 
+#: Enum lookup tables indexed by the raw field values a packed trace
+#: record carries (both enums are numbered densely from 0).
+COMMANDS = tuple(BusCommand(i) for i in range(len(BusCommand)))
+RESPONSES = tuple(SnoopResponse(i) for i in range(len(SnoopResponse)))
+
+
 def combine_snoop_responses(responses: Iterable[SnoopResponse]) -> SnoopResponse:
     """Combine individual snoop responses into the bus-wide response.
 

@@ -21,10 +21,8 @@ Engine scopes:
     exist (sharded).  :func:`repro.experiments.pipeline.validate_sharding`
     delegates here.
 
-Selection honours the board's ``batched_replay`` preference flag: with
-it cleared, only rank-0 engines (the scalar reference path) are
-candidates — the flag expresses *intent* (A/B benchmarking, bisection),
-while capability eligibility expresses *correctness*.
+To force the scalar reference path (A/B benchmarking, bisection), call
+``ENGINES["scalar"].replay(board, words)`` directly.
 """
 
 from __future__ import annotations
@@ -186,17 +184,13 @@ def select_board_engine(board) -> EngineSpec:
     """Pick the best eligible board-scope engine for one board.
 
     The single in-process selection point: highest-rank engine whose
-    required capabilities the board grants, restricted to rank 0 (the
-    scalar reference path) when the board's ``batched_replay`` preference
-    flag is cleared.  Always returns an engine — the scalar engine
-    requires nothing.
+    required capabilities the board grants.  Always returns an engine —
+    the scalar engine requires nothing.
     """
     proof = prove_capabilities(board)
     best: Optional[EngineSpec] = None
     for spec in ENGINES.values():
         if spec.scope != "board" or spec.replay is None:
-            continue
-        if not board.batched_replay and spec.rank > 0:
             continue
         if spec.requires - proof.granted:
             continue

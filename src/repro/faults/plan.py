@@ -21,7 +21,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.bus.transaction import BusCommand, BusTransaction, SnoopResponse
+from repro.bus.transaction import COMMANDS, RESPONSES, BusCommand, BusTransaction, SnoopResponse
 from repro.common.errors import ValidationError
 from repro.common.rng import RngStreams
 from repro.memories.board import MemoriesBoard
@@ -186,8 +186,8 @@ class FaultInjector:
         from repro.bus.trace import iter_decoded
 
         dispatch = self.dispatch
-        command_of = _COMMANDS
-        response_of = _RESPONSES
+        command_of = COMMANDS
+        response_of = RESPONSES
         for cpu_id, command, address, response in iter_decoded(words):
             dispatch(cpu_id, command_of[command], address, response_of[response])
         return int(words.shape[0])
@@ -330,7 +330,3 @@ def corrupt_trace_bytes(
     if mode == "truncate":
         return data[: int(rng.integers(len(data)))]
     raise ValidationError(f"unknown corruption mode {mode!r}")
-
-
-_COMMANDS = [BusCommand(i) for i in range(len(BusCommand))]
-_RESPONSES = [SnoopResponse(i) for i in range(len(SnoopResponse))]

@@ -20,8 +20,9 @@ datapath": :func:`replay_words_batched` replays a packed trace chunk with
   stock cache-emulation firmware, or generic (``firmware.process`` per
   admitted tenure) for any other image.  The fused loop accumulates
   counters under integer ids (:data:`COUNTER_NAMES`), finds the local
-  node by indexing a cpu-id list, and installs misses with incremental
-  way-map updates instead of a per-miss rebuild.
+  node by indexing a cpu-id list, and edits the directory's own set lists
+  through its replacement policy's ``touch``/``insert`` — the code the
+  scalar path runs.
 
 Bit-identity with :meth:`MemoriesBoard._replay_words_scalar` is the
 contract, enforced by the property suite in ``tests/test_batched_replay``:
@@ -33,8 +34,8 @@ arguments (a live ECC patrol scrubber that must tick between tenures),
 the engine registry (:mod:`repro.engines`) proves the capability missing
 and routes the board to the scalar loop instead — the decision is made
 statically, before replay, not inside this module.  (An SDRAM timing
-model or an unknown replacement policy merely demotes the *fused* runner
-to the generic one; both stay bit-exact.)
+model or an ECC directory merely demotes the *fused* runner to the
+generic one; both stay bit-exact.)
 """
 
 from __future__ import annotations
@@ -44,15 +45,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.bus.trace import _CPU_MASK, decode_arrays
-from repro.bus.transaction import BusCommand, SnoopResponse
+from repro.bus.transaction import COMMANDS, RESPONSES, BusCommand, SnoopResponse
 from repro.memories.board import _MAX_PROCESSOR_ID
 from repro.memories.protocol_table import CacheOp, LineState
-from repro.memories.replacement import (
-    FifoPolicy,
-    LruPolicy,
-    PlruPolicy,
-    RandomPolicy,
-)
 
 _IO_READ = int(BusCommand.IO_READ)
 _IO_WRITE = int(BusCommand.IO_WRITE)
@@ -70,10 +65,6 @@ _SHARED = int(LineState.SHARED)
 _OWNED = int(LineState.OWNED)
 _N_STATES = max(int(state) for state in LineState) + 1
 _N_OPS = max(int(op) for op in CacheOp) + 1
-
-#: Enum lookup tables for the generic runner (index by raw field value).
-_COMMANDS = [BusCommand(i) for i in range(max(int(c) for c in BusCommand) + 1)]
-_RESPONSES = [SnoopResponse(i) for i in range(max(int(r) for r in SnoopResponse) + 1)]
 
 #: Counter ids: every counter name the fused runner can emit, in a fixed
 #: order.  A node accumulates into ``acc[id]`` and flushes the non-zero
@@ -132,9 +123,9 @@ class _FusedNode:
     """Flattened hot-path view of one NodeController.
 
     Holds direct references to the controller's mutable structures (the
-    finish-time deque, the directory's tag/state/way-map lists) plus local
-    copies of scalar buffer statistics and an integer-indexed counter
-    accumulator.  The scalars are loaded at chunk start and stored back at
+    finish-time deque, the directory's tag/state/meta lists and its
+    replacement policy's ``touch``/``insert``) plus local copies of
+    scalar buffer statistics and an integer-indexed counter accumulator.  The scalars are loaded at chunk start and stored back at
     chunk end — safe because within a fused chunk *only* this engine
     touches them, and the board only reads them between chunks (telemetry
     boundaries).
@@ -143,10 +134,9 @@ class _FusedNode:
     __slots__ = (
         "buffer", "ft", "capacity", "service", "last_finish",
         "accepted", "rejected", "high_water",
-        "tags", "states", "ways", "meta", "assoc",
+        "tags", "states", "meta", "assoc", "touch", "insert",
         "off_bits", "set_mask", "tag_shift",
         "trans", "fill_write", "fill_read_shared", "fill_read_alone",
-        "is_lru", "touch_meta", "victim_way", "random_install",
         "acc", "counters", "peers",
     )
 
@@ -159,9 +149,10 @@ class _FusedNode:
         directory = node.directory
         self.tags = directory._tags
         self.states = directory._states
-        self.ways = directory._ways
         self.meta = directory._meta
         self.assoc = directory.config.assoc
+        self.touch = directory.policy.touch
+        self.insert = directory.policy.insert
         amap = directory.amap
         self.off_bits = amap.offset_bits
         self.set_mask = amap.num_sets - 1
@@ -181,16 +172,6 @@ class _FusedNode:
         self.fill_write = int(fill.write)
         self.fill_read_shared = int(fill.read_shared)
         self.fill_read_alone = int(fill.read_alone)
-        policy = directory.policy
-        self.is_lru = type(policy) is LruPolicy
-        is_plru = type(policy) is PlruPolicy
-        self.touch_meta = policy._update_on_access if is_plru else None
-        self.victim_way = policy.victim_way if is_plru else None
-        # Random replacement keeps the directory's own install so its RNG
-        # draws happen exactly as on the scalar path.
-        self.random_install = (
-            directory.install if type(policy) is RandomPolicy else None
-        )
         self.acc = [0] * len(COUNTER_NAMES)
         self.counters = node.counters
         self.peers: tuple = ()
@@ -245,9 +226,10 @@ def _remote(fused: _FusedNode, op: int, address: int, now: float):
         fused.high_water = depth
     set_index = (address >> fused.off_bits) & fused.set_mask
     tag = address >> fused.tag_shift
-    way = fused.ways[set_index].get(tag, -1)
-    if way < 0:
+    tags_in_set = fused.tags[set_index]
+    if tag not in tags_in_set:
         return False, False
+    way = tags_in_set.index(tag)
     states_in_set = fused.states[set_index]
     state = states_in_set[way]
     next_state, invalidates, is_hit = fused.trans[op][state]
@@ -255,93 +237,32 @@ def _remote(fused: _FusedNode, op: int, address: int, now: float):
     if supplied_dirty:
         acc[_CID_SUPPLIED_DIRTY] += 1
     if invalidates:
-        _invalidate(fused, set_index, way)
+        tags_in_set.pop(way)
+        states_in_set.pop(way)
         acc[_CID_INVALIDATED] += 1
     else:
         states_in_set[way] = next_state
     return True, supplied_dirty
 
 
-def _invalidate(fused: _FusedNode, set_index: int, way: int) -> None:
-    """Inlined TagStateDirectory.invalidate (same way-map maintenance)."""
-    tags_in_set = fused.tags[set_index]
-    tag = tags_in_set.pop(way)
-    fused.states[set_index].pop(way)
-    ways = fused.ways[set_index]
-    if ways.get(tag) == way:
-        del ways[tag]
-    for position in range(way, len(tags_in_set)):
-        ways[tags_in_set[position]] = position
-
-
-def _install(fused: _FusedNode, set_index: int, tag: int, fill: int) -> int:
-    """Inlined TagStateDirectory.install; returns the victim's state, or
-    -1 when nothing was evicted.
-
-    LRU/FIFO and PLRU victim choice is transcribed from
-    :mod:`repro.memories.replacement`; the way map is updated in place
-    instead of rebuilt, with the same first-occurrence-wins rule as
-    ``_rebuild_way_map`` should a corrupted set hold duplicate tags.
-    """
-    if fused.random_install is not None:
-        evicted = fused.random_install(set_index, tag, fill)
-        return -1 if evicted is None else evicted[1]
-    tags_in_set = fused.tags[set_index]
-    states_in_set = fused.states[set_index]
-    ways = fused.ways[set_index]
-    if fused.victim_way is not None:  # PLRU: stable way positions
-        meta = fused.meta
-        way = len(tags_in_set)
-        victim_state = -1
-        if way < fused.assoc:
-            tags_in_set.append(tag)
-            states_in_set.append(fill)
-        else:
-            way = fused.victim_way(meta[set_index])
-            victim_tag = tags_in_set[way]
-            victim_state = states_in_set[way]
-            tags_in_set[way] = tag
-            states_in_set[way] = fill
-            if ways.get(victim_tag) == way:
-                del ways[victim_tag]
-                if victim_tag in tags_in_set:
-                    ways[victim_tag] = tags_in_set.index(victim_tag)
-        ways[tag] = way
-        meta[set_index] = fused.touch_meta(way, meta[set_index])
-        return victim_state
-    # LRU / FIFO: insert at the front, evict from the back.
-    victim_state = -1
-    if len(tags_in_set) >= fused.assoc:
-        del ways[tags_in_set.pop()]
-        victim_state = states_in_set.pop()
-    tags_in_set.insert(0, tag)
-    states_in_set.insert(0, fill)
-    for position in range(len(tags_in_set) - 1, -1, -1):
-        ways[tags_in_set[position]] = position
-    return victim_state
-
-
 def _fused_runner(firmware):
     """Build a fused admitted-tenure runner, or None when ineligible.
 
     Eligible when every in-service node uses the constant-service
-    transaction buffer (no SDRAM timing model), an unprotected directory
-    (no ECC), and a known replacement policy.  The runner replays admitted
-    tenures in order with the full NodeController/TagStateDirectory hot
-    path inlined: counters accumulate under integer ids, the local node
-    is found by indexing a per-group list with the cpu id, and misses
-    install through :func:`_install`.
+    transaction buffer (no SDRAM timing model) and an unprotected
+    directory (no ECC).  The runner replays admitted tenures in order
+    with the NodeController hot path inlined: counters accumulate under
+    integer ids, the local node is found by indexing a per-group list
+    with the cpu id, and hits and misses reorder the directory's sets
+    through its replacement policy's own ``touch`` and ``insert``.
     """
     groups = getattr(firmware, "_groups", None)
     if groups is None:
         return None
-    known = (LruPolicy, FifoPolicy, RandomPolicy, PlruPolicy)
     fused_of = {}
     for local_by_cpu, _peers_of, controllers in groups:
         for node in controllers:
             if node.sdram is not None or node.ecc:
-                return None
-            if type(node.directory.policy) not in known:
                 return None
             if id(node) not in fused_of:
                 fused_of[id(node)] = _FusedNode(node)
@@ -367,8 +288,6 @@ def _fused_runner(firmware):
     sat_hit_cid = _SAT_HIT_CID
     sat_miss_cid = _SAT_MISS_CID
     remote = _remote
-    invalidate = _invalidate
-    install = _install
 
     def run(cpus, cmds, addrs, resps, nows) -> int:
         for fused in all_fused:
@@ -433,31 +352,24 @@ def _fused_runner(firmware):
 
                 set_index = (addr >> local.off_bits) & local.set_mask
                 tag = addr >> local.tag_shift
-                ways = local.ways[set_index]
-                way = ways.get(tag, -1)
+                tags_in_set = local.tags[set_index]
+                states_in_set = local.states[set_index]
 
-                if way >= 0:
-                    states_in_set = local.states[set_index]
+                if tag in tags_in_set:
+                    way = tags_in_set.index(tag)
                     state = states_in_set[way]
                     next_state, invalidates, _is_hit = local.trans[op][state]
                     acc[hit_cid] += 1
                     acc[hit_state_cid[state]] += 1
                     if invalidates:
-                        invalidate(local, set_index, way)
+                        tags_in_set.pop(way)
+                        states_in_set.pop(way)
                     else:
                         states_in_set[way] = next_state
-                        if local.is_lru:
-                            if way:
-                                tags_in_set = local.tags[set_index]
-                                tags_in_set.insert(0, tags_in_set.pop(way))
-                                states_in_set.insert(0, states_in_set.pop(way))
-                                for position in range(way + 1):
-                                    ways[tags_in_set[position]] = position
-                        elif local.touch_meta is not None:
-                            meta = local.meta
-                            meta[set_index] = local.touch_meta(
-                                way, meta[set_index]
-                            )
+                        meta = local.meta
+                        _way, meta[set_index] = local.touch(
+                            tags_in_set, states_in_set, way, meta[set_index]
+                        )
                     if op == _LOCAL_WRITE and (
                         state == _SHARED or state == _OWNED
                     ):
@@ -489,10 +401,14 @@ def _fused_runner(firmware):
                         if shared_elsewhere
                         else local.fill_read_alone
                     )
-                victim_state = install(local, set_index, tag, fill)
+                meta = local.meta
+                victim, meta[set_index] = local.insert(
+                    tags_in_set, states_in_set, tag, fill, local.assoc,
+                    meta[set_index],
+                )
                 acc[fill_cid[fill]] += 1
-                if victim_state >= 0:
-                    if dirty_of[victim_state]:
+                if victim is not None:
+                    if dirty_of[victim[1]]:
                         acc[_CID_EVICT_DIRTY] += 1
                     else:
                         acc[_CID_EVICT_CLEAN] += 1
@@ -509,13 +425,13 @@ def _generic_runner(firmware):
     """Admitted-tenure runner calling ``firmware.process`` per tenure.
 
     Used for firmware images without the fused fast path (tracer, hot-spot
-    profiler, NUMA directory, remote-cache, SDRAM-priced or custom-policy
-    cache nodes): the vectorised pre-pass still removes filtered tenures,
+    profiler, NUMA directory, remote-cache, SDRAM-priced or ECC cache
+    nodes): the vectorised pre-pass still removes filtered tenures,
     filter/global bookkeeping and the clock from the Python loop.
     """
     process = firmware.process
-    commands = _COMMANDS
-    responses = _RESPONSES
+    commands = COMMANDS
+    responses = RESPONSES
 
     def run(cpus, cmds, addrs, resps, nows) -> int:
         retries = 0

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.bus.bus import ADDRESS_TENURE_CYCLES
 from repro.bus.trace import BusTrace, iter_decoded
-from repro.bus.transaction import BusCommand, BusTransaction, SnoopResponse
+from repro.bus.transaction import COMMANDS, RESPONSES, BusCommand, BusTransaction, SnoopResponse
 from repro.common.errors import ConfigurationError, EmulationError
 from repro.memories.address_filter import AddressFilter
 from repro.memories.global_counter import GlobalEventsCounter
@@ -349,13 +349,6 @@ class MemoriesBoard:
         # Background-machinery hook (the ECC patrol scrubber); optional so
         # alternate firmware images need not implement it.
         self._firmware_tick = getattr(firmware, "tick", None)
-        # Offline-replay engine preference.  True lets the engine registry
-        # (repro.engines) pick the best engine whose capabilities this
-        # board provably grants (normally the vectorised batched engine);
-        # False restricts selection to the scalar reference path (tests,
-        # A/B benchmarks).  Correctness never depends on this flag — the
-        # registry's capability prover handles that.
-        self.batched_replay = True
         # Observability (repro.telemetry): with nothing attached the
         # dispatch path pays exactly one pointer test per tenure.
         self.telemetry: Optional["CounterSampler"] = None
@@ -469,8 +462,8 @@ class MemoriesBoard:
     def _replay_words(self, words: np.ndarray) -> int:
         # Engine selection is the registry's job (repro.engines): the
         # static capability prover picks the best engine whose
-        # bit-identity preconditions this board provably grants, honouring
-        # the batched_replay preference flag.  No refusal logic lives here.
+        # bit-identity preconditions this board provably grants.  No
+        # refusal logic lives here.
         from repro.engines.registry import select_board_engine
 
         return select_board_engine(self).replay(self, words)
@@ -484,8 +477,8 @@ class MemoriesBoard:
         active.
         """
         dispatch = self._dispatch
-        command_of = _COMMANDS
-        response_of = _RESPONSES
+        command_of = COMMANDS
+        response_of = RESPONSES
         for cpu_id, command, address, response in iter_decoded(words):
             dispatch(cpu_id, command_of[command], address, response_of[response])
         return int(words.shape[0])
@@ -664,10 +657,6 @@ class MemoriesBoard:
         # observer, never required state).
         if "telemetry" in state and self.telemetry is not None:
             self.telemetry.load_state_dict(state["telemetry"])
-
-
-_COMMANDS = [BusCommand(i) for i in range(len(BusCommand))]
-_RESPONSES = [SnoopResponse(i) for i in range(len(SnoopResponse))]
 
 
 def board_for_machine(

@@ -5,6 +5,12 @@ line frame of the emulated cache, its tag, coherence state and replacement
 metadata.  :class:`TagStateDirectory` models that structure: a set-associative
 array of (tag, state) pairs managed by a pluggable replacement policy.
 
+Each set is a pair of parallel ``tags``/``states`` lists kept in the
+policy's order (MRU-first for LRU), the same representation the host L2
+(:class:`repro.host.cache.SnoopingCache`) uses.  A probe scans the set's
+tag list, so the replacement policy's ``touch``/``insert`` alone decide
+where a line sits.
+
 The directory itself is protocol-agnostic — it stores whatever state integers
 the node controller's protocol table produces — and exposes fine-grained
 operations (probe / touch / install / invalidate) so the controller can apply
@@ -52,23 +58,6 @@ class TagStateDirectory:
         # metadata, and replicating a single instance across sets would
         # alias every set's replacement state onto one object.
         self._meta: list = [self.policy.make_meta() for _ in range(num_sets)]
-        # Per-set tag -> way index, the O(1) replacement for scanning
-        # tags.index(tag) on every probe.  Kept coherent by every mutator;
-        # rare paths that edit tags in place (fault injection, ECC repair)
-        # rebuild their set via _rebuild_way_map.
-        self._ways: list[dict[int, int]] = [{} for _ in range(num_sets)]
-
-    def _rebuild_way_map(self, set_index: int) -> None:
-        """Recompute one set's tag->way map from its tag list.
-
-        First occurrence wins when (corrupted) duplicate tags exist, the
-        same line ``list.index`` used to return.
-        """
-        tags = self._tags[set_index]
-        ways: dict[int, int] = {}
-        for way in range(len(tags) - 1, -1, -1):
-            ways[tags[way]] = way
-        self._ways[set_index] = ways
 
     # ------------------------------------------------------------------ #
     # Hot-path operations
@@ -79,7 +68,12 @@ class TagStateDirectory:
         amap = self.amap
         set_index = amap.set_index(address)
         tag = amap.tag(address)
-        way = self._ways[set_index].get(tag, -1)
+        # Sets hold at most MAX_ASSOC lines, so the scan costs no more
+        # than a hash lookup.  Testing membership first beats catching
+        # ValueError because most peer probes miss.  When a flipped tag
+        # aliases another line, the first occurrence wins.
+        tags = self._tags[set_index]
+        way = tags.index(tag) if tag in tags else -1
         return set_index, tag, way
 
     def state_at(self, set_index: int, way: int) -> int:
@@ -96,16 +90,6 @@ class TagStateDirectory:
             self._tags[set_index], self._states[set_index], way, self._meta[set_index]
         )
         self._meta[set_index] = meta
-        if new_way != way:
-            if new_way == 0:
-                # Promotion to MRU rotates positions 0..way one step; no
-                # entry beyond the hit way moves.
-                tags = self._tags[set_index]
-                ways = self._ways[set_index]
-                for position in range(way + 1):
-                    ways[tags[position]] = position
-            else:
-                self._rebuild_way_map(set_index)
         return new_way
 
     def install(
@@ -121,9 +105,6 @@ class TagStateDirectory:
             self._meta[set_index],
         )
         self._meta[set_index] = meta
-        # insert() may rotate, replace or evict anywhere in the set, so the
-        # miss path pays one O(assoc) map rebuild.
-        self._rebuild_way_map(set_index)
         if victim is None:
             return None
         victim_tag, victim_state = victim
@@ -131,15 +112,8 @@ class TagStateDirectory:
 
     def invalidate(self, set_index: int, way: int) -> int:
         """Drop the line at (set, way); returns its former state."""
-        tags = self._tags[set_index]
-        tag = tags.pop(way)
-        state = self._states[set_index].pop(way)
-        ways = self._ways[set_index]
-        if ways.get(tag) == way:
-            del ways[tag]
-        for position in range(way, len(tags)):
-            ways[tags[position]] = position
-        return state
+        self._tags[set_index].pop(way)
+        return self._states[set_index].pop(way)
 
     # ------------------------------------------------------------------ #
     # Whole-directory queries (console, tests, peers)
@@ -179,7 +153,6 @@ class TagStateDirectory:
         if bit < 0 or bit >= self.stored_bits:
             raise EmulationError(f"bit index {bit} outside the stored tag")
         self._tags[set_index][way] ^= 1 << bit
-        self._rebuild_way_map(set_index)
 
     def occupancy(self) -> float:
         """Fraction of line frames in use."""
@@ -207,11 +180,6 @@ class TagStateDirectory:
                 raise EmulationError(f"set {set_index}: {len(tags)} lines > {assoc}-way")
             if len(set(tags)) != len(tags):
                 raise EmulationError(f"set {set_index}: duplicate tags")
-            ways = self._ways[set_index]
-            if len(ways) != len(tags) or any(
-                way >= len(tags) or tags[way] != tag for tag, way in ways.items()
-            ):
-                raise EmulationError(f"set {set_index}: tag->way map out of sync")
 
     def clear(self) -> None:
         """Invalidate the whole directory (console power-up initialisation)."""
@@ -219,8 +187,6 @@ class TagStateDirectory:
             tags.clear()
         for states in self._states:
             states.clear()
-        for ways in self._ways:
-            ways.clear()
         self._meta = [self.policy.make_meta() for _ in range(self.config.num_sets)]
 
     # ------------------------------------------------------------------ #
@@ -286,7 +252,6 @@ class TagStateDirectory:
             raise EmulationError("checkpoint directory listing is malformed")
         all_tags = self._tags
         all_states = self._states
-        all_ways = self._ways
         all_meta = self._meta
         make_meta = self.policy.make_meta
         default = make_meta()
@@ -294,7 +259,6 @@ class TagStateDirectory:
             if tags:
                 tags.clear()
                 all_states[index].clear()
-                all_ways[index].clear()
             if meta != default:
                 all_meta[index] = make_meta()
         for index, tags, states, meta in zip(
@@ -303,7 +267,6 @@ class TagStateDirectory:
             all_tags[index] = [int(t) for t in tags]
             all_states[index] = [int(s) for s in states]
             all_meta[index] = int(meta)
-            self._rebuild_way_map(index)
 
     def _load_nested(self, state: dict) -> None:
         """Restore the nested per-set form of version 1/2 checkpoints."""
@@ -318,6 +281,3 @@ class TagStateDirectory:
         self._tags = [[int(t) for t in row] for row in tags]
         self._states = [[int(s) for s in row] for row in states]
         self._meta = [int(m) for m in meta]
-        self._ways = [{} for _ in range(len(self._tags))]
-        for set_index in range(len(self._tags)):
-            self._rebuild_way_map(set_index)

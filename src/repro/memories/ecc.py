@@ -324,7 +324,6 @@ class EccTagStateDirectory(TagStateDirectory):
             return EccOutcome.UNCORRECTABLE
         tags[way] = new_tag
         states[way] = self._encode(new_tag, new_state)
-        self._rebuild_way_map(set_index)
         if counters is not None:
             counters.increment("ecc.corrected")
         return outcome
@@ -411,7 +410,6 @@ class EccTagStateDirectory(TagStateDirectory):
             states[way] ^= 1 << bit
         elif bit < self._data_bits:
             tags[way] ^= 1 << (bit - STATE_BITS)
-            self._rebuild_way_map(set_index)
         else:
             states[way] ^= 1 << (self._check_shift + (bit - self._data_bits))
 

@@ -105,9 +105,7 @@ def assert_paths_identical(make_board, words, chunks=None, engine=None):
     highest-rank eligible engine.
     """
     scalar = make_board()
-    scalar.batched_replay = False
     other = make_board()
-    assert other.batched_replay
     replay = (
         other.replay_words
         if engine is None
@@ -115,7 +113,7 @@ def assert_paths_identical(make_board, words, chunks=None, engine=None):
     )
     parts = np.array_split(words, chunks) if chunks else [words]
     for part in parts:
-        scalar.replay_words(part)
+        ENGINES["scalar"].replay(scalar, part)
         replay(part)
     assert scalar.statistics() == other.statistics()
     assert scalar.now_cycle == other.now_cycle
@@ -160,13 +158,13 @@ class TestBatchedBitIdentity:
     def test_full_sets_evict_and_refill_after_peer_invalidation(
         self, replacement
     ):
-        """Pin the fused runner's in-place way-map upkeep on install.
+        """Pin the fused runner's set edits on install and invalidation.
 
         Node 0 (cpus 0-1) fills one set to its four ways, write-hits a
         middle way, and evicts twice.  Node 1 (cpu 2) then claims the
         newest line, so node 0 loses it to a peer invalidation.  The next
         install lands in a partly filled set, more installs evict again,
-        and the write hits dirty exactly the lines the way map names.
+        and the write hits dirty exactly the lines a scan of the set finds.
         """
         read, rwitm = int(BusCommand.READ), int(BusCommand.RWITM)
         script = [(0, read, tag) for tag in (0, 1, 2, 3)]
@@ -185,31 +183,33 @@ class TestBatchedBitIdentity:
 
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "plru"])
     def test_install_after_bit_flip_aliases_two_tags(self, replacement):
-        """A flipped tag can duplicate another resident tag; installs must
-        keep the first-occurrence-wins way map the directory rebuilds.
+        """A flipped tag can duplicate another resident tag; every probe
+        must find the first occurrence, as the directory's scan does.
 
         Ways 0 and 1 of node 0's set end up holding one tag (3 under
-        LRU/FIFO, a clean and a dirty copy; 0 under PLRU).  The next
-        install evicts around the pair, and the write hits then show
-        which copy the map names.
+        LRU/FIFO, a clean and a dirty copy; 0 under PLRU).  A read hit on
+        tag 0 then rotates the LRU set past the pair, the next install
+        evicts around it, and the write hits show which copy a probe
+        finds.
         """
         read, rwitm = int(BusCommand.READ), int(BusCommand.RWITM)
         machine = machine_for("split", replacement)
 
         def make_board():
             board = board_for_machine(machine, seed=3)
-            board.batched_replay = False
-            board.replay_words(one_set_words(
+            ENGINES["scalar"].replay(board, one_set_words(
                 [(0, read, 0), (0, read, 1), (0, rwitm, 2), (0, read, 3)]
             ))
             directory = board.firmware.nodes[0].directory
             directory.inject_bit_flip(0, 1, 0)
             tags = directory._tags[0]
             assert tags[0] == tags[1]
-            board.batched_replay = True
             return board
 
-        script = [(0, read, 4), (0, rwitm, 3), (0, rwitm, 0), (0, read, 5)]
+        script = [
+            (0, read, 0), (0, read, 4), (0, rwitm, 3), (0, rwitm, 0),
+            (0, read, 5),
+        ]
         assert_paths_identical(
             make_board, one_set_words(script), engine="batched"
         )
@@ -221,11 +221,9 @@ class TestBatchedBitIdentity:
 
         def make_board():
             board = board_for_machine(machine, seed=9)
-            board.batched_replay = False
-            board.replay_words(full_mix_words(800, seed=21))
+            ENGINES["scalar"].replay(board, full_mix_words(800, seed=21))
             board.firmware.offline_node(1)
             board.note_snoop_loss(0x1000)
-            board.batched_replay = True
             return board
 
         assert_paths_identical(make_board, words)
@@ -247,9 +245,8 @@ class TestTelemetryChunking:
 
         scalar_sink, fast_sink = MemorySink(), MemorySink()
         scalar = make_board(scalar_sink)
-        scalar.batched_replay = False
         fast = make_board(fast_sink)
-        scalar.replay_words(words)
+        ENGINES["scalar"].replay(scalar, words)
         ENGINES[engine].replay(fast, words)
         scalar.telemetry.finish(scalar)
         fast.telemetry.finish(fast)
@@ -277,18 +274,6 @@ class TestTelemetryChunking:
 
 
 class TestEngineSelection:
-    def test_flag_forces_scalar(self, monkeypatch):
-        words = full_mix_words(200, seed=23)
-        board = board_for_machine(machine_for("single"))
-        board.batched_replay = False
-        calls = []
-        monkeypatch.setattr(
-            "repro.memories.batch.replay_words_batched",
-            lambda *a: calls.append(a) or None,
-        )
-        board.replay_words(words)
-        assert not calls
-
     def test_ecc_scrubber_declines_batching(self):
         from repro.engines import Capability, decide, select_board_engine
 
@@ -363,9 +348,8 @@ class TestZeroCountdownRegression:
 
         scalar_sink, fast_sink = MemorySink(), MemorySink()
         scalar = make_board(scalar_sink)
-        scalar.batched_replay = False
         fast = make_board(fast_sink)
-        scalar.replay_words(words)
+        ENGINES["scalar"].replay(scalar, words)
         ENGINES[engine].replay(fast, words)
         assert scalar_sink.records == fast_sink.records
         assert scalar.statistics() == fast.statistics()

@@ -224,17 +224,20 @@ class TestPerSetMetadata:
         assert len({id(meta) for meta in metas}) == len(metas)
 
 
-class TestWayMapCoherence:
-    """The O(1) tag->way map must agree with the tag lists at all times."""
+class TestProbeMatchesScan:
+    """probe() must name the first way holding a tag, whatever edited the set."""
 
-    def assert_map_matches_scan(self, directory):
+    def assert_probe_matches_scan(self, directory):
         directory.check_invariants()
+        line_size = directory.config.line_size
+        num_sets = directory.config.num_sets
         for set_index, tags in enumerate(directory._tags):
             for tag in tags:
-                assert directory._ways[set_index][tag] == tags.index(tag)
+                address = (tag * num_sets + set_index) * line_size
+                assert directory.probe(address)[2] == tags.index(tag)
 
     @pytest.mark.parametrize("replacement", ["lru", "fifo", "random", "plru"])
-    def test_map_tracks_mixed_traffic(self, replacement):
+    def test_probe_tracks_mixed_traffic(self, replacement):
         import numpy as np
 
         rng = np.random.default_rng(11)
@@ -250,21 +253,21 @@ class TestWayMapCoherence:
             else:
                 directory.invalidate(set_index, way)
             if step % 50 == 0:
-                self.assert_map_matches_scan(directory)
-        self.assert_map_matches_scan(directory)
+                self.assert_probe_matches_scan(directory)
+        self.assert_probe_matches_scan(directory)
 
-    def test_map_survives_bit_flip(self):
+    def test_probe_survives_bit_flip(self):
         directory = make_directory(size=4 * 128, assoc=4)
         for i in range(3):
             set_index, tag, _ = directory.probe(i * 128 * directory.config.num_sets)
             directory.install(set_index, tag, 1)
         directory.inject_bit_flip(0, 1, 3)
-        self.assert_map_matches_scan(directory)
+        self.assert_probe_matches_scan(directory)
         # The flipped tag is findable at its corrupted value.
         corrupted = directory._tags[0][1]
-        assert directory._ways[0][corrupted] == 1
+        assert directory.probe(corrupted * 128)[2] == 1
 
-    def test_map_rebuilt_by_state_roundtrip(self):
+    def test_probe_after_state_roundtrip(self):
         directory = make_directory(size=8 * 128, assoc=2)
         for i in range(10):
             set_index, tag, way = directory.probe(i * 128)
@@ -272,19 +275,22 @@ class TestWayMapCoherence:
                 directory.install(set_index, tag, 1)
         fresh = make_directory(size=8 * 128, assoc=2)
         fresh.load_state_dict(directory.state_dict())
-        self.assert_map_matches_scan(fresh)
+        self.assert_probe_matches_scan(fresh)
         for i in range(10):
             assert fresh.probe(i * 128) == directory.probe(i * 128)
 
-    def test_check_invariants_detects_stale_map(self):
-        from repro.common.errors import EmulationError
-
-        directory = make_directory(size=4 * 128, assoc=2)
-        set_index, tag, _ = directory.probe(0)
-        directory.install(set_index, tag, 1)
-        directory._ways[set_index][tag] = 1  # corrupt: points past the line
-        with pytest.raises(EmulationError, match="out of sync"):
-            directory.check_invariants()
+    def test_aliased_tag_probes_first_way_after_touch(self):
+        """A hit that rotates an LRU set past two copies of one tag must
+        leave probe() on the first copy."""
+        directory = make_directory(size=4 * 128, assoc=4)  # one set
+        for tag in range(4):
+            directory.install(0, tag, int(LineState.SHARED))
+        assert directory._tags[0] == [3, 2, 1, 0]
+        directory.inject_bit_flip(0, 2, 1)
+        assert directory._tags[0] == [3, 2, 3, 0]
+        directory.touch(0, directory.probe(0)[2])
+        assert directory._tags[0] == [0, 3, 2, 3]
+        assert directory.probe(3 * 128)[2] == 1
 
 
 class TestSparseState:

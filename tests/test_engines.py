@@ -220,11 +220,6 @@ class TestSelectBoardEngine:
     def test_falls_back_to_scalar_on_denial(self):
         assert select_board_engine(default_board(ecc=True)).name == "scalar"
 
-    def test_preference_flag_forces_scalar(self):
-        board = default_board()
-        board.batched_replay = False
-        assert select_board_engine(board).name == "scalar"
-
     def test_selected_engine_replays(self):
         from tests.test_batched_replay import full_mix_words
 

@@ -13,6 +13,7 @@ from repro.common.errors import (
     TraceFormatError,
     ValidationError,
 )
+from repro.engines import ENGINES
 from repro.faults import (
     CheckpointRotation,
     FaultPlan,
@@ -437,8 +438,7 @@ class TestSparseCheckpoint:
         tail = _records([(1, read, k * stride) for k in range(2, 9)])
 
         scalar = self._split(config)
-        scalar.batched_replay = False
-        scalar.replay_words(np.concatenate([head, tail]))
+        ENGINES["scalar"].replay(scalar, np.concatenate([head, tail]))
 
         first = self._split(config)
         first.replay_words(head)
