@@ -21,7 +21,7 @@ Commands (also shown by ``help``)::
     miss-ratios                                  per-node miss ratios
     save-trace <path> <n_records>                capture and dump a trace
     verify                                       verify the current programming
-    engines [shards]                             replay-engine capability decisions
+    engines                                      replay-engine capability decisions
     faults                                       resilience report for the board
     watch [every_transactions]                   live telemetry dashboard
     supervise <run_dir>                          supervised-run journal status
@@ -36,8 +36,8 @@ Static verification also runs stand-alone, before any board exists::
     python -m repro.cli verify repo [dir ...] [--profile P]
         [--format text|json|sarif] [--output FILE]
         [--baseline FILE] [--update-baseline]
-    python -m repro.cli verify engines [programming.json] [--shards N]
-        [--cache SIZE] [--expect a,b]
+    python -m repro.cli verify engines [programming.json] [--cache SIZE]
+        [--expect a,b]
 
 So do seeded fault-injection campaigns (see :mod:`repro.faults`)::
 
@@ -173,7 +173,7 @@ class ConsoleSession:
             "reset": self._cmd_console_passthrough,
             "describe": self._cmd_console_passthrough,
             "verify": self._cmd_console_passthrough,
-            "engines": self._cmd_engines,
+            "engines": self._cmd_console_passthrough,
             "faults": self._cmd_console_passthrough,
             "watch": self._cmd_watch,
             "supervise": self._cmd_supervise,
@@ -328,10 +328,6 @@ class ConsoleSession:
     def _cmd_watch(self, args: List[str]) -> str:
         """One frame of the console's live telemetry dashboard."""
         return self.console.execute(" ".join(["watch", *args]))
-
-    def _cmd_engines(self, args: List[str]) -> str:
-        """Replay-engine capability decisions for the attached board."""
-        return self.console.execute(" ".join(["engines", *args]))
 
     def _cmd_supervise(self, args: List[str]) -> str:
         """Journal status of a supervised run directory."""
@@ -513,12 +509,12 @@ def _verify_repo_main(args: List[str]) -> int:
 def _verify_engines_main(args: List[str]) -> int:
     """``verify engines``: audit replay-engine capability decisions.
 
-    Proves every registered engine's declared capability requirements
-    against a board programming — a saved ``programming.json``, or the
-    default single-node machine the replay benchmark uses — and prints
-    each decision's report.  Exits 0 only when every engine is eligible,
-    so CI can assert that the benchmarked configuration actually
-    exercises all engines; pass ``--expect`` to assert a subset instead.
+    Proves each engine's declared capability requirements against a
+    board programming — a saved ``programming.json``, or by default one
+    node of ``--cache`` size shared by all CPUs of the scaled host — and
+    prints each decision's report.  Exits 0 only when every engine is
+    eligible, so CI can assert that a configuration exercises both
+    engines; pass ``--expect`` to assert a subset instead.
     """
     import argparse
 
@@ -530,17 +526,15 @@ def _verify_engines_main(args: List[str]) -> int:
     )
     parser.add_argument(
         "programming", nargs="?", default=None,
-        help="saved board programming JSON (default: the bench machine)")
-    parser.add_argument(
-        "--shards", type=int, default=4,
-        help="shard spec to prove the sharded engine against (default 4)")
+        help="saved board programming JSON "
+             "(default: one --cache node for the whole host)")
     parser.add_argument(
         "--cache", default="64MB",
         help="paper-scale L3 size for the default machine (default 64MB)")
     parser.add_argument(
         "--expect", default=None,
         help="comma-separated engines that must be eligible "
-             "(default: all registered)")
+             "(default: all)")
     ns = parser.parse_args(args)
 
     if ns.programming is not None:
@@ -552,7 +546,7 @@ def _verify_engines_main(args: List[str]) -> int:
         machine = single_node_machine(
             scale.cache(ns.cache), n_cpus=scale.n_cpus
         )
-    decisions = decide_all(machine=machine, shards=ns.shards)
+    decisions = decide_all(machine=machine)
     expected = (
         {name.strip() for name in ns.expect.split(",") if name.strip()}
         if ns.expect is not None
@@ -1233,7 +1227,7 @@ def bench_main(argv: List[str]) -> int:
     """The ``bench`` subcommand: replay-engine throughput A/B.
 
     Replays one deterministic synthetic trace through the scalar
-    reference loop, the batched engine and the sharded worker pool (see
+    reference loop and the batched engine (see
     :mod:`repro.experiments.replay_bench`), prints records/sec for each
     (best of ``--repeats``), and optionally writes the JSON report CI
     archives as ``BENCH_replay.json``.  The
@@ -1251,9 +1245,7 @@ def bench_main(argv: List[str]) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli bench",
-        description=(
-            "replay throughput: scalar vs batched vs sharded"
-        ),
+        description="replay throughput: scalar vs batched",
     )
     parser.add_argument(
         "--records", type=int, default=DEFAULT_RECORDS,
@@ -1261,12 +1253,6 @@ def bench_main(argv: List[str]) -> int:
     parser.add_argument(
         "--seed", type=int, default=2000,
         help="workload and replacement-policy seed (default 2000)")
-    parser.add_argument(
-        "--shards", type=int, default=4,
-        help="worker shards for the sharded engine (default 4)")
-    parser.add_argument(
-        "--inline-shards", action="store_true",
-        help="replay the shards inline instead of in worker processes")
     parser.add_argument(
         "--repeats", type=int, default=1,
         help="timing repeats per engine; best-of-N is reported (default 1)")
@@ -1276,8 +1262,7 @@ def bench_main(argv: List[str]) -> int:
     ns = parser.parse_args(argv)
 
     report = run_replay_benchmark(
-        ns.records, seed=ns.seed, shards=ns.shards,
-        sharded_processes=not ns.inline_shards, repeats=ns.repeats,
+        ns.records, seed=ns.seed, repeats=ns.repeats
     )
     for name, entry in report["engines"].items():
         print(

@@ -1,11 +1,11 @@
-"""Replay throughput benchmark: scalar vs batched vs sharded.
+"""Replay throughput benchmark: scalar vs batched.
 
 The real board's selling point is keeping up with a 100 MHz bus in real
 time; the software model's equivalent currency is **records per second**
 through :meth:`~repro.memories.board.MemoriesBoard.replay_words`.  This
 module builds a deterministic synthetic workload (a TPC-C-shaped command
 mix, roughly 30% of tenures filtered as IO/interrupt/sync/retried, the
-rest hitting a hot working set), replays it through every engine, and
+rest hitting a hot working set), replays it through both engines, and
 reports throughput plus the statistics digests that prove the fast
 paths changed nothing.  Timings are best-of-``repeats`` (the minimum is
 the least noisy estimator of a deterministic workload's cost), with
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.bus.trace import BusTrace, encode_arrays
 from repro.bus.transaction import BusCommand, SnoopResponse
-from repro.memories.board import MemoriesBoard, board_for_machine
+from repro.memories.board import board_for_machine
 from repro.memories.config import CacheNodeConfig
 from repro.supervisor.spec import statistics_digest
 from repro.target.configs import split_smp_machine
@@ -87,43 +87,25 @@ def bench_machine():
     return split_smp_machine(config, n_cpus=8, procs_per_node=2)
 
 
-def _timed_board_engine(
-    machine, trace: BusTrace, seed: int, engine: str, repeats: int
-) -> tuple:
-    """Best-of-``repeats`` timing of one board-scope engine, forced
-    explicitly (the registry would otherwise route every eligible board
-    to the highest-rank engine, making the slower rows unmeasurable)."""
-    from repro.engines import ENGINES
-
-    spec = ENGINES[engine]
-    seconds_all = []
-    digest = ""
-    for _ in range(max(repeats, 1)):
-        board = board_for_machine(machine, seed=seed)
-        start = time.perf_counter()
-        spec.replay(board, trace.words)
-        seconds_all.append(time.perf_counter() - start)
-        digest = statistics_digest(board.statistics())
-    return seconds_all, digest
-
-
 def run_replay_benchmark(
     n_records: int = DEFAULT_RECORDS,
     seed: int = 2000,
-    shards: int = 4,
-    sharded_processes: bool = True,
     machine=None,
     trace: Optional[BusTrace] = None,
     repeats: int = 1,
 ) -> dict:
-    """Measure scalar, batched and sharded replay of one trace.
+    """Measure scalar and batched replay of one trace.
 
-    Returns a JSON-ready report: per-engine ``records_per_second`` and
-    ``seconds`` (best of ``repeats``), every raw sample in
-    ``seconds_all``, the ``statistics_digest`` of each run, ``identical``
-    (all digests equal) and ``batched_speedup`` over scalar — the
-    numbers ``BENCH_replay.json`` records.
+    Each engine is forced explicitly (the registry would otherwise route
+    every eligible board to batched, making the scalar row
+    unmeasurable).  Returns a JSON-ready report: per-engine
+    ``records_per_second`` and ``seconds`` (best of ``repeats``), every
+    raw sample in ``seconds_all``, the ``statistics_digest`` of each
+    run, ``identical`` (all digests equal) and ``batched_speedup`` over
+    scalar — the numbers ``BENCH_replay.json`` records.
     """
+    from repro.engines import ENGINES
+
     if machine is None:
         machine = bench_machine()
     if trace is None:
@@ -132,28 +114,20 @@ def run_replay_benchmark(
 
     seconds_all: dict = {}
     digests: dict = {}
-    for engine in ("scalar", "batched"):
-        seconds_all[engine], digests[engine] = _timed_board_engine(
-            machine, trace, seed, engine, repeats
-        )
-
-    from repro.experiments.pipeline import sharded_replay
-
-    seconds_all["sharded"] = []
-    for _ in range(max(repeats, 1)):
-        sharded_start = time.perf_counter()
-        sharded_board = sharded_replay(
-            trace, machine, shards, seed=seed, processes=sharded_processes
-        )
-        seconds_all["sharded"].append(time.perf_counter() - sharded_start)
-    digests["sharded"] = statistics_digest(sharded_board.statistics())
+    for name, spec in ENGINES.items():
+        seconds_all[name] = []
+        for _ in range(max(repeats, 1)):
+            board = board_for_machine(machine, seed=seed)
+            start = time.perf_counter()
+            spec.replay(board, trace.words)
+            seconds_all[name].append(time.perf_counter() - start)
+        digests[name] = statistics_digest(board.statistics())
 
     best = {name: min(samples) for name, samples in seconds_all.items()}
     return {
         "records": n_records,
         "seed": seed,
         "machine": machine.name,
-        "shards": shards,
         "repeats": max(repeats, 1),
         "engines": {
             name: {

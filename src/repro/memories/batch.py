@@ -452,7 +452,7 @@ def replay_words_batched(board, words: np.ndarray) -> int:
     Precondition (proven statically, not checked here): the board grants
     ``INERT_BACKGROUND_TICK`` — no time-driven firmware machinery needs
     to interleave between tenures.  The engine registry
-    (:func:`repro.engines.registry.select_board_engine`) only routes a
+    (:func:`repro.engines.select_board_engine`) only routes a
     board here after the capability prover establishes that, so this
     function carries no refusal logic of its own.
     """

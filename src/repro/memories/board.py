@@ -464,7 +464,7 @@ class MemoriesBoard:
         # static capability prover picks the best engine whose
         # bit-identity preconditions this board provably grants.  No
         # refusal logic lives here.
-        from repro.engines.registry import select_board_engine
+        from repro.engines import select_board_engine
 
         return select_board_engine(self).replay(self, words)
 

@@ -1,7 +1,7 @@
 """Span-tree reconstruction and validation for propagated traces.
 
 Every process that participates in a run — the service, the supervisor,
-its worker shards — emits span records tagged with ``trace_id`` /
+its workers — emits span records tagged with ``trace_id`` /
 ``span_id`` / ``parent_id`` (see :mod:`repro.telemetry.spans`).  This
 module stitches those flat records back into the tree they describe and
 checks the invariants the propagation scheme promises:

@@ -11,7 +11,7 @@ producing wrong counters.
 * :mod:`repro.supervisor.spec` — the serialisable run recipe
   (:class:`SupervisedRunSpec`) and the deterministic chaos schedule
   (:class:`ChaosPlan`) the chaos harness uses.
-* :mod:`repro.supervisor.worker` — the worker-shard process: restores a
+* :mod:`repro.supervisor.worker` — the worker process: restores a
   checkpoint, replays segments, checkpoints durably, reports commits.
 * :mod:`repro.supervisor.supervisor` — :class:`RunSupervisor`: watchdog,
   bounded restarts with backoff, and the degradation ladder (quarantine

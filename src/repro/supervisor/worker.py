@@ -1,4 +1,4 @@
-"""The supervised worker shard: one process, one board, one directive loop.
+"""The supervised worker: one process, one board, one directive loop.
 
 :func:`worker_main` is the entry point the supervisor spawns (via
 ``multiprocessing``).  The worker rebuilds the board from the run spec,
@@ -99,121 +99,6 @@ def _die_now() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-# --------------------------------------------------------------------- #
-# Set-interleaved shard worker (sharded replay)
-# --------------------------------------------------------------------- #
-
-
-def shard_worker_main(task: dict) -> dict:
-    """Replay one address shard on a private board; return reduced state.
-
-    Entry point for :func:`repro.experiments.pipeline.sharded_replay` —
-    importable at module top level so it survives pickling under the
-    ``spawn`` start method.  ``task`` carries the target machine, the
-    board parameters, and this shard's packed records (original bus
-    order preserved within the shard).
-
-    The per-shard board engine comes from the registry's capability
-    prover (the same selection point as
-    :meth:`~repro.memories.board.MemoriesBoard.replay_words`), so a
-    worker can never run an engine the configuration does not grant.
-    """
-    from repro.engines.registry import select_board_engine
-    from repro.memories.board import board_for_machine
-
-    board = board_for_machine(
-        task["machine"],
-        seed=task["seed"],
-        assumed_utilization=task["assumed_utilization"],
-    )
-    select_board_engine(board).replay(board, task["words"])
-    return shard_payload(board)
-
-
-def shard_payload(board) -> dict:
-    """Reduce a shard board to the mergeable counter state.
-
-    Everything :meth:`MemoriesBoard.statistics` reads, in raw
-    (un-wrapped) form: raw counter values sum across shards and wrap
-    only at read time, so merged 40-bit readouts alias exactly like a
-    serial run's.
-    """
-    stats = board.address_filter.stats
-    return {
-        "filter_stats": {
-            "observed": stats.observed,
-            "forwarded": stats.forwarded,
-            "filtered_io": stats.filtered_io,
-            "filtered_interrupts": stats.filtered_interrupts,
-            "filtered_sync": stats.filtered_sync,
-            "filtered_retried": stats.filtered_retried,
-        },
-        "filter_buffer": _buffer_stats(board.address_filter.buffer),
-        "global": board.global_counter.counters.state_dict(),
-        "nodes": [
-            {
-                "counters": node.counters.state_dict(),
-                "resilience": node.resilience.state_dict(),
-                "buffer": _buffer_stats(node.buffer),
-            }
-            for node in board.firmware.nodes
-        ],
-        "retries_posted": board.retries_posted,
-        "snoop_losses": board.snoop_losses,
-    }
-
-
-def _buffer_stats(buffer) -> dict:
-    stats = buffer.stats
-    return {
-        "accepted": stats.accepted,
-        "rejected": stats.rejected,
-        "high_water": stats.high_water,
-        "injected": stats.injected,
-    }
-
-
-def merge_shard_payloads(board, payloads) -> None:
-    """Fold shard payloads into a fresh board, in place.
-
-    Counter banks sum raw values (wrap-aware: the 40-bit mask applies at
-    read time, after summation, exactly as one serial bank would alias);
-    buffer high-water marks merge by maximum.  The caller guarantees the
-    sharding preconditions (see
-    :func:`repro.experiments.pipeline.validate_sharding`) under which
-    these reductions reproduce the serial run bit for bit.
-    """
-    stats = board.address_filter.stats
-    for payload in payloads:
-        for field, value in payload["filter_stats"].items():
-            setattr(stats, field, getattr(stats, field) + value)
-        _merge_buffer_stats(board.address_filter.buffer, payload["filter_buffer"])
-        _merge_counts(board.global_counter.counters, payload["global"])
-        for node, node_payload in zip(board.firmware.nodes, payload["nodes"]):
-            _merge_counts(node.counters, node_payload["counters"])
-            _merge_counts(node.resilience, node_payload["resilience"])
-            _merge_buffer_stats(node.buffer, node_payload["buffer"])
-        board.retries_posted += payload["retries_posted"]
-        board.snoop_losses += payload["snoop_losses"]
-
-
-def _merge_counts(bank, raw: dict) -> None:
-    merged = bank.state_dict()
-    for name, value in raw.items():
-        merged[name] = merged.get(name, 0) + int(value)
-    bank.load_state_dict(merged)
-
-
-def _merge_buffer_stats(buffer, raw: dict) -> None:
-    stats = buffer.stats
-    stats.accepted += int(raw["accepted"])
-    stats.rejected += int(raw["rejected"])
-    stats.injected += int(raw["injected"])
-    high_water = int(raw["high_water"])
-    if high_water > stats.high_water:
-        stats.high_water = high_water
-
-
 def worker_main(
     conn,
     run_dir: str,
@@ -224,7 +109,7 @@ def worker_main(
     trace_id: Optional[str] = None,
     span_prefix: str = "worker",
 ) -> None:
-    """Run the worker shard loop; exits when told to finish.
+    """Run the worker loop; exits when told to finish.
 
     Args:
         conn: the worker end of the supervisor's duplex pipe.

@@ -150,7 +150,7 @@ class JsonlSink:
 class TeeSink:
     """Fans every record out to several sinks, in order.
 
-    The supervisor's worker shards use this to feed one sampler both a
+    The supervisor's workers use this to feed one sampler both a
     durable JSONL series and the heartbeat channel back to the watchdog —
     telemetry stays a single attachment point on the board.
     """

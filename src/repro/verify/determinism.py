@@ -1,9 +1,9 @@
 """Determinism analyzer: AST rules that keep replay bit-identical.
 
 The emulator's contract is that one seed plus one trace produces one
-bit-identical result — across the scalar, batched and sharded engines,
-across hosts, and across process restarts.  The rules here flag the code
-shapes that silently break that contract:
+bit-identical result — across the scalar and batched engines, across
+hosts, and across process restarts.  The rules here flag the code shapes
+that silently break that contract:
 
 ``unsorted-serialization`` (DT201)
     Iterating a ``set`` (whose order varies with ``PYTHONHASHSEED`` and

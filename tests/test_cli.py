@@ -147,12 +147,7 @@ class TestMain:
 class TestBenchSubcommand:
     def test_bench_reports_and_writes_json(self, tmp_path, capsys):
         out = tmp_path / "BENCH_replay.json"
-        status = main(
-            [
-                "bench", "--records", "1500", "--shards", "2",
-                "--inline-shards", "--out", str(out),
-            ]
-        )
+        status = main(["bench", "--records", "1500", "--out", str(out)])
         assert status == 0
         printed = capsys.readouterr().out
         assert "batched speedup over scalar" in printed
@@ -160,6 +155,109 @@ class TestBenchSubcommand:
 
         report = json.loads(out.read_text())
         assert report["identical"] is True
-        assert set(report["engines"]) == {"scalar", "batched", "sharded"}
+        assert set(report["engines"]) == {"scalar", "batched"}
         for entry in report["engines"].values():
             assert entry["records_per_second"] > 0
+
+
+# ---------------------------------------------------------------------- #
+# Engine-decision surfaces: `verify engines` and the console `engines`
+# ---------------------------------------------------------------------- #
+
+SCRUBBER_REASON = (
+    "time-driven firmware machinery is active (an in-service node runs "
+    "an ECC patrol scrubber); ticks must interleave between tenures"
+)
+BATCHED_GRANTED = (
+    "  [INFO] missing-capability[EN301]: "
+    "capability inert_background_tick granted"
+)
+BATCHED_DENIED = (
+    f"  [ERROR] missing-capability[EN301]: {SCRUBBER_REASON}  "
+    "(capability inert_background_tick)"
+)
+
+
+def engine_blocks(text, prefix=""):
+    """Split an engine report into ``name -> [verdict line, findings...]``.
+
+    A block starts at each unindented ``<prefix><name> [verdict]`` line;
+    its indented finding lines follow it.
+    """
+    blocks = {}
+    current = None
+    for line in text.splitlines():
+        if line.startswith("  ") and current is not None:
+            blocks[current].append(line)
+        elif line.startswith(prefix) and "[" in line:
+            current = line[len(prefix):].split()[0]
+            blocks[current] = [line]
+        else:
+            current = None
+    return blocks
+
+
+@pytest.fixture
+def ecc_boards(monkeypatch):
+    """Make every machine-built board carry ECC with a patrol scrubber."""
+    import functools
+
+    import repro.memories.board as board_module
+
+    monkeypatch.setattr(
+        board_module,
+        "board_for_machine",
+        functools.partial(board_module.board_for_machine, ecc=True),
+    )
+
+
+class TestVerifyEnginesSurface:
+    def test_stock_board_runs_both_board_engines(self, capsys):
+        assert main(["verify", "engines", "--expect", "scalar,batched"]) == 0
+        blocks = engine_blocks(capsys.readouterr().out, prefix="engine ")
+        assert blocks["scalar"] == [
+            "engine scalar   [eligible] requires (nothing)",
+        ]
+        assert blocks["batched"] == [
+            "engine batched  [eligible] requires inert_background_tick",
+            BATCHED_GRANTED,
+        ]
+
+    def test_ecc_board_rejects_batched_with_en301(self, ecc_boards, capsys):
+        assert main(["verify", "engines", "--expect", "batched"]) != 0
+        blocks = engine_blocks(capsys.readouterr().out, prefix="engine ")
+        assert blocks["scalar"] == [
+            "engine scalar   [eligible] requires (nothing)",
+        ]
+        assert blocks["batched"] == [
+            "engine batched  [REJECTED] requires inert_background_tick",
+            BATCHED_DENIED,
+        ]
+
+
+class TestConsoleEnginesSurface:
+    def test_stock_board(self):
+        s = session()
+        s.execute("program split 64MB 2")
+        output = s.execute("engines")
+        assert output.splitlines()[0].startswith("=== engines: board ")
+        blocks = engine_blocks(output)
+        assert blocks["scalar"] == ["scalar   [eligible]"]
+        assert blocks["batched"] == ["batched  [eligible]", BATCHED_GRANTED]
+
+    def test_ecc_scrubbed_board(self):
+        from repro.memories.config import CacheNodeConfig
+        from repro.memories.console import MemoriesConsole
+        from repro.target.configs import single_node_machine
+
+        console = MemoriesConsole()
+        console.power_up(
+            single_node_machine(
+                CacheNodeConfig(size=64 * 1024, assoc=4, line_size=128), 4
+            ),
+            enforce_envelope=False,
+            ecc=True,
+        )
+        blocks = engine_blocks(console.execute("engines"))
+        assert blocks["scalar"] == ["scalar   [eligible]"]
+        assert blocks["batched"] == ["batched  [REJECTED]", BATCHED_DENIED]

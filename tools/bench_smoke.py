@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""CI smoke gate for the fast replay engines (batched + sharded).
+"""CI smoke gate for the fast replay engine (batched).
 
 Runs the replay throughput benchmark at CI scale and enforces the hard
-contract — **scalar, batched and sharded replay must produce
-bit-identical board statistics** — plus one throughput floor: batched
+contract — **scalar and batched replay must produce bit-identical
+board statistics** — plus one throughput floor: batched
 merely has to beat scalar (> 1x) to prove the fast path engaged; the
 strict >= 3x bar lives in ``benchmarks/bench_replay_throughput.py``.
 
@@ -27,16 +27,12 @@ from repro.experiments.replay_bench import run_replay_benchmark
 
 RECORDS = 60_000
 SEED = 2000
-SHARDS = 2
 REPEATS = 3
 
 
 def main() -> int:
     smoke = SmokeChecks("bench")
-    report = run_replay_benchmark(
-        RECORDS, seed=SEED, shards=SHARDS, sharded_processes=True,
-        repeats=REPEATS,
-    )
+    report = run_replay_benchmark(RECORDS, seed=SEED, repeats=REPEATS)
     for name, entry in report["engines"].items():
         spread = max(entry["seconds_all"]) - min(entry["seconds_all"])
         print(
@@ -45,7 +41,7 @@ def main() -> int:
             f"digest {entry['statistics_digest'][:16]}…"
         )
     smoke.check(
-        "scalar, batched and sharded statistics bit-identical",
+        "scalar and batched statistics bit-identical",
         report["identical"],
         ", ".join(
             f"{name}={entry['statistics_digest'][:12]}"
